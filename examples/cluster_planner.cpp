@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/autotune.h"
 #include "simsched/sweeps.h"
 #include "util/cli.h"
 
@@ -32,15 +31,10 @@ int main(int argc, char** argv) {
               shape.taxa, shape.patterns, bootstraps, machine.name.c_str(),
               machine.cores_per_node, cores);
 
-  // Model-optimal split and the heuristic suggestion.
+  // Model-optimal split.
   const BestRun best = best_run(model, cores, bootstraps);
-  const HybridShape heuristic = suggest_shape(
-      shape.patterns, cores, machine.cores_per_node, bootstraps);
-  std::printf("model-optimal split:  %2d processes x %2d threads\n",
+  std::printf("model-optimal split:  %2d processes x %2d threads\n\n",
               best.config.processes, best.config.threads);
-  std::printf("heuristic suggestion: %2d processes x %2d threads "
-              "(core/autotune.h)\n\n",
-              heuristic.processes, heuristic.threads);
 
   const auto breakdown = model.run_breakdown(best.config);
   std::printf("predicted times (s):  serial %.0f  ->  hybrid %.0f  "

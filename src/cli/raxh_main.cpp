@@ -9,7 +9,6 @@
 //
 // Common options:
 //   -s <file>    PHYLIP alignment (required)
-//   -q <file>    partition scheme (only with -f e for now; see examples)
 //   -n <name>    output basename                      [raxh]
 //   -N <int>     bootstraps / searches                [100 / 10]
 //   -p <seed>    parsimony seed                       [12345]
@@ -23,8 +22,6 @@
 //                   avx2 | avx512. RAXH_KERNELS sets the same override.
 //   --repeats=on|off  site-repeat detection in newview  [on; bitwise-
 //                   invisible to results, off for A/B benching]
-//   -simd <on|off|auto>  legacy alias: off = --kernels=scalar, on/auto =
-//                   best member (the default)
 //
 // minimpi runtime (src/minimpi/):
 //   --collectives=ALG     star | tree: collective routing. tree (default)
@@ -76,6 +73,9 @@
 // Telemetry output paths are validated (and directories created) at startup
 // so a long run cannot silently lose its telemetry at the end.
 //
+// Any other flag is rejected with exit status 2 (kKnownFlags below), so a
+// typo or a retired flag fails loudly instead of running with defaults.
+//
 // Exit status 0 on success; messages go to stdout, errors to stderr.
 #include <algorithm>
 #include <cstdio>
@@ -85,6 +85,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bio/io.h"
 #include "bio/patterns.h"
@@ -124,12 +125,21 @@ void usage(const char* prog) {
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
       "          [--collectives=star|tree] [--transport=socketpair|shm]\n"
       "          [--kernels=auto|scalar|generic|neon|avx2|avx512]\n"
-      "          [--repeats=on|off] [-simd on|off|auto]\n"
+      "          [--repeats=on|off]\n"
       "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"
       "       x=adaptive bootstrap (FC bootstopping), e=evaluate topology\n",
       prog);
 }
+
+// Every flag main() and the run_* helpers read, as CliParser stores them
+// (one leading dash stripped: "N" is -N, "-kernels" is --kernels).
+constexpr std::string_view kKnownFlags[] = {
+    "s", "f", "n", "m", "N", "p", "x", "np", "T", "t", "h", "-help",
+    "-log-level", "-connect", "-kernels", "-repeats", "-collectives",
+    "-transport", "-trace-out", "-metrics-out", "-heartbeat-out",
+    "-straggler-factor", "-report-components", "-blackbox", "-blackbox-dir",
+    "-blackbox-dump", "-fault-tolerant", "-checkpoint-dir", "-fault-plan"};
 
 // --- minimpi flags (--collectives=star|tree / --transport=socketpair|shm) ---
 
@@ -619,6 +629,10 @@ int run_evaluate(const PatternAlignment& patterns, const CliParser& cli) {
 
 int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
+  if (const auto flag = cli.unknown_flag(kKnownFlags)) {
+    std::fprintf(stderr, "error: unknown flag %s\n", flag->c_str());
+    return 2;
+  }
   const auto alignment_path = cli.value("s");
   if (!alignment_path || cli.has("h") || cli.has("-help")) {
     usage(argv[0]);
@@ -690,11 +704,9 @@ int main(int argc, char** argv) {
                 patterns.num_patterns());
 
     // Kernel selection: --kernels=NAME picks a family member explicitly;
-    // -simd on|off|auto is kept for compatibility (off = scalar reference,
-    // on/auto = best supported member, which is also the default).
+    // the default is the best supported member.
     {
       const std::string kernels = cli.value_or("-kernels", "");
-      const std::string simd = cli.value_or("simd", "auto");
       if (!kernels.empty()) {
         kern::KernelIsa isa{};
         if (!kern::parse_kernel_isa(kernels, &isa)) {
@@ -710,8 +722,6 @@ int main(int argc, char** argv) {
                        kernels.c_str(), kern::kernel_isa_list().c_str());
           return 2;
         }
-      } else if (simd == "off") {
-        kern::set_kernel_isa(kern::KernelIsa::kScalar);
       }
       const std::string repeats = cli.value_or("-repeats", "");
       if (!repeats.empty()) {

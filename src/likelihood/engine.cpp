@@ -52,7 +52,6 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   scales_.resize(slots * npat);
   slots_.resize(slots);
   slot_repeats_.resize(slots);
-  repeat_copy_hits_.assign(npat, 0);
 
   if (rates_.kind() == RateKind::kGamma) {
     cat_weights_.assign(static_cast<std::size_t>(rates_.num_categories()),
@@ -156,13 +155,7 @@ void LikelihoodEngine::fill_pmats(double t, std::vector<double>& pmats) const {
 
 void LikelihoodEngine::refresh_partition() {
   const auto nthreads = static_cast<std::size_t>(crew_->num_threads());
-  const bool fold = repeat_cost_folding() && repeat_newviews_ > 0;
-  // With cost folding on, also rebuild once the copy-rate statistics have
-  // moved substantially since the last build.
-  const bool stats_fresh =
-      !fold || repeat_newviews_ < 2 * part_fold_newviews_ + 64;
-  if (part_epoch_ == weights_epoch_ && part_bounds_.size() == nthreads + 1 &&
-      stats_fresh)
+  if (part_epoch_ == weights_epoch_ && part_bounds_.size() == nthreads + 1)
     return;
   const std::size_t npat = patterns_->num_patterns();
   // Per-pattern kernel cost: a GAMMA pattern stores/evaluates ncat rate
@@ -172,23 +165,8 @@ void LikelihoodEngine::refresh_partition() {
   std::vector<std::uint64_t> costs(npat);
   for (std::size_t p = 0; p < npat; ++p)
     costs[p] = static_cast<std::uint64_t>(weights_[p]) * cats;
-  if (fold) {
-    // Repeat-aware costs (opt-in, see repeats.h): charge a pattern only for
-    // the fraction of newviews that actually computed it rather than
-    // copying it from its class representative. Scaled by 16 so partial
-    // rates survive integer math; never drops to zero (evaluate still
-    // touches every pattern).
-    for (std::size_t p = 0; p < npat; ++p) {
-      const std::uint64_t hits =
-          std::min<std::uint64_t>(repeat_copy_hits_[p], repeat_newviews_);
-      const std::uint64_t computed16 =
-          16 - (16 * hits) / repeat_newviews_;
-      costs[p] = std::max<std::uint64_t>(1, costs[p] * computed16 / 16);
-    }
-  }
   part_bounds_ = weighted_partition(costs, crew_->num_threads());
   part_epoch_ = weights_epoch_;
-  part_fold_newviews_ = repeat_newviews_;
 }
 
 template <typename Fn>
@@ -399,12 +377,10 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
               out[lay.clv_index(p, c, s)] = out[lay.clv_index(rp, c, s)];
         }
         out_scale[p] = out_scale[rp];
-        ++repeat_copy_hits_[p];
       }
     });
     obs::count(obs::Counter::kRepeatPatternsComputed, nreps);
     obs::count(obs::Counter::kRepeatPatternsCopied, npat - nreps);
-    ++repeat_newviews_;
   };
 
   if (tip1 && tip2) {

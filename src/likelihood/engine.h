@@ -80,9 +80,8 @@ class LikelihoodEngine {
   double optimize_all(Tree& tree, double epsilon = 0.1, int max_rounds = 10);
 
   // --- low-level branch-optimization API ---
-  // Used by PartitionedEngine to sum Newton-Raphson derivatives across
-  // partitions: prepare_branch builds the edge sumtable, branch_derivatives
-  // evaluates (lnl, d1, d2) at a candidate branch length. The prepared state
+  // prepare_branch builds the edge sumtable, branch_derivatives evaluates
+  // (lnl, d1, d2) at a candidate branch length. The prepared state
   // stays valid until the next engine operation that touches the scratch
   // buffers (any evaluate/newview), so call them back-to-back.
   void prepare_branch(const Tree& tree, int rec);
@@ -190,15 +189,11 @@ class LikelihoodEngine {
   std::uint64_t version_counter_ = 1;
   std::uint64_t newview_count_ = 0;
 
-  // Site-repeat state: per-slot classes plus combine scratch; copy-hit
-  // tallies feed the opt-in repeat-aware partition costs.
+  // Site-repeat state: per-slot classes plus combine scratch.
   std::vector<SlotRepeats> slot_repeats_;
   RepeatCombiner combiner_;
   std::uint64_t repeat_version_counter_ = 0;
   std::uint64_t cat_epoch_ = 0;  // bumped by set_cat_assignment
-  std::uint64_t repeat_newviews_ = 0;     // repeat-active newviews so far
-  std::uint64_t part_fold_newviews_ = 0;  // ... at the last partition build
-  std::vector<std::uint32_t> repeat_copy_hits_;  // per-pattern copies
 
   // Scratch (master-filled, crew-read).
   std::vector<double> pmat_a_, pmat_b_;

@@ -1,7 +1,6 @@
-// The evaluator abstraction the search algorithms climb against: a single
-// GTR engine (EngineEvaluator) or a partitioned multi-gene model
-// (PartitionedEngine). Keeps SprSearch/NniSearch independent of how the
-// likelihood is composed.
+// The evaluator abstraction the search algorithms climb against; the
+// production implementation is EngineEvaluator over one GTR engine. Keeps
+// SprSearch independent of how the likelihood is computed.
 #pragma once
 
 #include "tree/tree.h"

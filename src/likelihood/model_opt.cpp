@@ -1,7 +1,7 @@
 // Model-parameter optimization for LikelihoodEngine: GTR exchangeabilities
 // (Brent per rate, GT fixed as reference), GAMMA shape (Brent), and the CAT
 // per-pattern rate re-estimation + clustering of RAxML's
-// optimizeRateCategories.
+// optimizeRateCategories; plus EngineEvaluator, the search's view of them.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -9,6 +9,7 @@
 
 #include "likelihood/brent.h"
 #include "likelihood/engine.h"
+#include "likelihood/evaluator.h"
 #include "util/check.h"
 
 namespace raxh {
@@ -107,6 +108,36 @@ double LikelihoodEngine::optimize_cat_rates(Tree& tree) {
   // repeat class array, not just the CLVs.
   ++cat_epoch_;
   return evaluate(tree);
+}
+
+// --- EngineEvaluator (declared in evaluator.h) ---
+
+double EngineEvaluator::evaluate(const Tree& tree, int rec) {
+  return engine_->evaluate(tree, rec);
+}
+
+double EngineEvaluator::optimize_branch(Tree& tree, int rec) {
+  return engine_->optimize_branch(tree, rec);
+}
+
+double EngineEvaluator::smooth_branches(Tree& tree, int passes) {
+  return engine_->smooth_branches(tree, passes);
+}
+
+double EngineEvaluator::optimize_model(Tree& tree) {
+  double lnl = engine_->optimize_gtr(tree);
+  switch (engine_->rates().kind()) {
+    case RateKind::kGamma:
+      lnl = engine_->optimize_alpha(tree);
+      break;
+    case RateKind::kCat:
+      lnl = engine_->optimize_cat_rates(tree);
+      lnl = engine_->smooth_branches(tree, 1);
+      break;
+    case RateKind::kUniform:
+      break;
+  }
+  return lnl;
 }
 
 }  // namespace raxh

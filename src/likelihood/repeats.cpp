@@ -32,30 +32,6 @@ void set_repeats_enabled(bool enabled) {
   g_repeats.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-namespace {
-std::atomic<int> g_fold{-1};
-
-int init_fold() {
-  int on = 0;
-  if (const char* env = std::getenv("RAXH_REPEAT_COSTS");
-      env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) on = 1;
-  }
-  int expected = -1;
-  g_fold.compare_exchange_strong(expected, on, std::memory_order_relaxed);
-  return g_fold.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-bool repeat_cost_folding() {
-  const int v = g_fold.load(std::memory_order_relaxed);
-  return (v >= 0 ? v : init_fold()) != 0;
-}
-
-void set_repeat_cost_folding(bool enabled) {
-  g_fold.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 std::uint32_t RepeatCombiner::combine(const ClassSource& a,
                                       const ClassSource& b, std::size_t npat,
                                       std::vector<std::uint32_t>* class_of,

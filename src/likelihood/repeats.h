@@ -31,15 +31,6 @@ namespace raxh {
 [[nodiscard]] bool repeats_enabled();
 void set_repeats_enabled(bool enabled);
 
-// Opt-in (default OFF): fold per-pattern repeat copy rates into the
-// engine's weighted_partition() cost vector so crews balance *computed*
-// work, charging frequently-copied patterns ~0. Changing the partition
-// bounds changes the crew reduction split — and with it the last bits of
-// multi-threaded lnL sums — so this must stay off for golden-tree
-// reproduction runs. RAXH_REPEAT_COSTS=on enables.
-[[nodiscard]] bool repeat_cost_folding();
-void set_repeat_cost_folding(bool enabled);
-
 // A node's per-pattern repeat classes viewed as an input to the combine
 // step: either an inner node's dense class array, or a tip row (classes
 // derived on the fly from the IUPAC mask and, under CAT, the pattern's

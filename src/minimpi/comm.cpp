@@ -601,6 +601,8 @@ void Packer::put_bytes(const Bytes& b) {
 }
 
 void Unpacker::read(std::uint8_t* out, std::size_t n) {
+  // An empty container's data() may be null, and memcpy must not see it.
+  if (n == 0) return;
   RAXH_EXPECTS(offset_ + n <= data_->size());
   std::memcpy(out, data_->data() + offset_, n);
   offset_ += n;

@@ -167,17 +167,6 @@ void Tree::undo(const SprMove& move) {
   hook(next(next(move.p)), move.r, move.r_len);
 }
 
-void Tree::swap_subtrees(int rec_a, int rec_b, double new_len_a,
-                         double new_len_b) {
-  RAXH_EXPECTS(rec_a != rec_b);
-  const int a_back = back(rec_a);
-  const int b_back = back(rec_b);
-  RAXH_EXPECTS(a_back >= 0 && b_back >= 0);
-  RAXH_EXPECTS(!in_subtree(rec_a, rec_b) && !in_subtree(rec_b, rec_a));
-  hook(rec_a, b_back, new_len_a);
-  hook(rec_b, a_back, new_len_b);
-}
-
 bool Tree::in_subtree(int p, int rec) const {
   // Collect node ids of the subtree behind p (across the edge p - back(p)).
   std::vector<int> stack = {back(p)};

@@ -122,12 +122,6 @@ class Tree {
   // record p (used to exclude regraft targets during SPR enumeration).
   [[nodiscard]] bool in_subtree(int p, int rec) const;
 
-  // Exchange the subtrees behind rec_a and rec_b (NNI primitive): after the
-  // call, back(rec_a) is the old back(rec_b) with length new_len_a, and vice
-  // versa. Neither record may lie in the other's subtree.
-  void swap_subtrees(int rec_a, int rec_b, double new_len_a,
-                     double new_len_b);
-
   // --- traversal ---
 
   // Records in a bottom-up (children before parent) order covering the

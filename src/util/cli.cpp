@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace raxh {
@@ -44,6 +45,15 @@ std::optional<std::string> CliParser::value(const std::string& flag) const {
   auto it = options_.find(flag);
   if (it == options_.end() || it->second.empty()) return std::nullopt;
   return it->second;
+}
+
+std::optional<std::string> CliParser::unknown_flag(
+    std::span<const std::string_view> known) const {
+  for (const auto& [flag, value] : options_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end())
+      return "-" + flag;
+  }
+  return std::nullopt;
 }
 
 std::string CliParser::value_or(const std::string& flag,

@@ -5,7 +5,9 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace raxh {
@@ -26,6 +28,11 @@ class CliParser {
                                  long long fallback) const;
   [[nodiscard]] double double_or(const std::string& flag,
                                  double fallback) const;
+
+  // A flag not listed in `known` (names as has() takes them), returned as
+  // typed ("-q", "--kernelz"); nullopt if every flag is known.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      std::span<const std::string_view> known) const;
 
   // Arguments that did not belong to any flag, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {

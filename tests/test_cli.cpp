@@ -4,6 +4,8 @@
 // unusual working directory).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +27,10 @@ class CliSmoke : public ::testing::Test {
     binary_ = fs::absolute("../src/cli/raxh");
     if (!fs::exists(binary_)) GTEST_SKIP() << "raxh binary not found";
 
-    work_ = fs::temp_directory_path() / "raxh_cli_test";
+    // One directory per test: ctest runs the cases in parallel.
+    work_ = fs::temp_directory_path() /
+            (std::string("raxh_cli_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(work_);
     alignment_ = (work_ / "data.phy").string();
 
@@ -129,6 +134,29 @@ TEST_F(CliSmoke, MissingFileFailsCleanly) {
 
 TEST_F(CliSmoke, UnknownModeFails) {
   EXPECT_NE(run("-s " + alignment_ + " -f z"), 0);
+}
+
+TEST_F(CliSmoke, UnknownFlagFailsLoudly) {
+  // The retired -simd flag (use --kernels=) must not be silently ignored.
+  EXPECT_EQ(WEXITSTATUS(run("-s " + alignment_ + " -f a -N 2 -simd off")), 2);
+  EXPECT_NE(output().find("error: unknown flag -simd"), std::string::npos)
+      << output();
+  EXPECT_EQ(WEXITSTATUS(run("-s " + alignment_ + " --kernelz=scalar")), 2);
+  EXPECT_NE(output().find("error: unknown flag --kernelz"), std::string::npos)
+      << output();
+}
+
+TEST_F(CliSmoke, BenchmarkInvocationRuns) {
+  // The exact flag set the end-to-end benchmark passes to raxh.
+  const fs::path dir = work_ / "bench";
+  fs::create_directories(dir);
+  const std::string cmd = "cd " + dir.string() + " && " + binary_.string() +
+                          " -s " + alignment_ +
+                          " -f a -n r -np 2 -T 2 -N 4 -p 5 -x 5 >" +
+                          (work_ / "stdout.txt").string() + " 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << output();
+  EXPECT_TRUE(fs::exists(dir / "r_bestTree.tre"));
+  EXPECT_TRUE(fs::exists(dir / "r_bipartitions.tre"));
 }
 
 }  // namespace

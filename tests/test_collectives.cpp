@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "minimpi/comm.h"
@@ -25,16 +26,22 @@
 namespace raxh::mpi {
 namespace {
 
+enum class Backend { kThreads, kProcesses };
+
+// gtest prints a parameter's raw bytes into its test name. Every field here
+// is four bytes wide, so Cfg has no padding and those names carry no stack
+// garbage that would change from one build or run to the next.
 struct Cfg {
-  bool processes;
+  Backend backend;
   Transport transport;
   CollectiveAlgo algo;
   int nranks;
 };
+static_assert(std::has_unique_object_representations_v<Cfg>);
 
 std::string cfg_name(const testing::TestParamInfo<Cfg>& info) {
   const Cfg& c = info.param;
-  std::string s = c.processes ? "Process" : "Thread";
+  std::string s = c.backend == Backend::kProcesses ? "Process" : "Thread";
   s += c.transport == Transport::kShm ? "Shm" : "Sock";
   s += c.algo == CollectiveAlgo::kTree ? "Tree" : "Star";
   s += std::to_string(c.nranks);
@@ -49,7 +56,7 @@ CommOptions options_for(const Cfg& c) {
 }
 
 void run_cfg(const Cfg& c, const std::function<void(Comm&)>& fn) {
-  if (c.processes)
+  if (c.backend == Backend::kProcesses)
     run_process_ranks(c.nranks, fn, options_for(c));
   else
     run_thread_ranks(c.nranks, fn, options_for(c));
@@ -57,12 +64,12 @@ void run_cfg(const Cfg& c, const std::function<void(Comm&)>& fn) {
 
 std::vector<Cfg> make_configs(bool with_processes) {
   std::vector<Cfg> out;
-  for (const bool procs : {false, true}) {
-    if (procs && !with_processes) continue;
+  for (const Backend b : {Backend::kThreads, Backend::kProcesses}) {
+    if (b == Backend::kProcesses && !with_processes) continue;
     for (const Transport t : {Transport::kSocketpair, Transport::kShm})
       for (const CollectiveAlgo a :
            {CollectiveAlgo::kStar, CollectiveAlgo::kTree})
-        for (const int n : {2, 3, 4, 8}) out.push_back(Cfg{procs, t, a, n});
+        for (const int n : {2, 3, 4, 8}) out.push_back(Cfg{b, t, a, n});
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // core/: the Table 2 schedule law (asserted against every row of the paper's
-// table), autotuning heuristics, the per-rank comprehensive analysis, and the
-// full hybrid driver over thread-backed and process-backed ranks.
+// table), the per-rank comprehensive analysis, and the full hybrid driver
+// over thread-backed and process-backed ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "bio/datasets.h"
 #include "bio/patterns.h"
 #include "bio/seqsim.h"
-#include "core/autotune.h"
 #include "core/comprehensive.h"
 #include "core/hybrid.h"
 #include "core/schedule.h"
@@ -80,24 +79,6 @@ TEST(Schedule, TinyBootstrapCountsStayConsistent) {
 TEST(Schedule, ThoroughAlwaysOnePerRank) {
   for (int p : {1, 3, 7, 32})
     EXPECT_EQ(make_schedule(100, p).per_rank.thorough_searches, 1);
-}
-
-TEST(Autotune, ThreadsGrowWithPatterns) {
-  // Paper observation: 348 patterns want few threads; 19,436 want a full
-  // 32-core node.
-  EXPECT_LE(suggest_threads(348, 8), 4);
-  EXPECT_EQ(suggest_threads(1846, 8), 8);     // rounded up to a node divisor
-  EXPECT_EQ(suggest_threads(19436, 8), 8);    // capped by the node
-  EXPECT_EQ(suggest_threads(19436, 32), 32);  // Triton PDAF case
-  EXPECT_EQ(suggest_threads(700, 8), 2);
-}
-
-TEST(Autotune, ShapeRespectsCoreBudget) {
-  const auto shape = suggest_shape(1846, 80, 8, 100);
-  EXPECT_LE(shape.processes * shape.threads, 80);
-  EXPECT_GE(shape.processes, 1);
-  EXPECT_GE(shape.threads, 1);
-  EXPECT_LE(shape.processes, 20);
 }
 
 // --- the comprehensive analysis, full stack, small data ---

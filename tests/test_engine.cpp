@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "bio/patterns.h"
 #include "bio/resample.h"
 #include "bio/seqsim.h"
 #include "likelihood/engine.h"
+#include "likelihood/kernels.h"
 #include "model/gtr.h"
 #include "model/rates.h"
 #include "parallel/workforce.h"
@@ -376,6 +380,32 @@ TEST(Engine, NewviewCountGrowsWithWork) {
   engine.invalidate_all();
   engine.evaluate(*f.tree);
   EXPECT_GT(engine.newview_count(), first);
+}
+
+TEST(Engine, DefaultClvLayoutFollowsRateModelAndPatternCount) {
+  // Pins the construction-time layout choice with no RAXH_CLV_LAYOUT
+  // override: CAT is always pattern-major; GAMMA and uniform rates use the
+  // blocked layout once there is at least one full block of lanes.
+  std::optional<std::string> saved;
+  if (const char* env = std::getenv("RAXH_CLV_LAYOUT")) saved = env;
+  unsetenv("RAXH_CLV_LAYOUT");
+
+  Fixture wide(8, 60, 17);
+  ASSERT_GE(wide.patterns.num_patterns(), std::size_t{kern::kBlockLanes});
+  const auto layout_of = [](const Fixture& f, RateModel rates) {
+    return LikelihoodEngine(f.patterns, f.gtr, std::move(rates)).clv_layout();
+  };
+  EXPECT_EQ(layout_of(wide, RateModel::cat(wide.patterns.num_patterns())),
+            kern::ClvLayout::kPatternMajor);
+  EXPECT_EQ(layout_of(wide, RateModel::gamma(0.7)), kern::ClvLayout::kBlocked);
+  EXPECT_EQ(layout_of(wide, RateModel::uniform()), kern::ClvLayout::kBlocked);
+
+  Fixture narrow(5, kern::kBlockLanes - 1, 19);
+  ASSERT_LT(narrow.patterns.num_patterns(), std::size_t{kern::kBlockLanes});
+  EXPECT_EQ(layout_of(narrow, RateModel::gamma(0.7)),
+            kern::ClvLayout::kPatternMajor);
+
+  if (saved) setenv("RAXH_CLV_LAYOUT", saved->c_str(), 1);
 }
 
 }  // namespace

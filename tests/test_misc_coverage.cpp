@@ -1,6 +1,6 @@
 // Coverage for small public APIs not exercised elsewhere: the logger,
-// autotune's process bound, Workforce reduction reuse after resize, and the
-// engine's weight/CAT interactions around replicate boundaries.
+// Workforce reduction reuse after resize, and the engine's weight/CAT
+// interactions around replicate boundaries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "bio/patterns.h"
 #include "bio/resample.h"
 #include "bio/seqsim.h"
-#include "core/autotune.h"
 #include "likelihood/engine.h"
 #include "util/log.h"
 #include "util/prng.h"
@@ -32,14 +31,6 @@ TEST(Logger, LevelFilteringAndRankPrefixDoNotCrash) {
   logger.set_rank(-1);
 
   logger.set_level(original);
-}
-
-TEST(Autotune, MaxProcessesTracksBootstrapCount) {
-  // Paper §2.3: the useful process count is ~10-20 for N=100 and grows with
-  // more bootstraps (Table 2's N=500 rows scale to 20 processes).
-  EXPECT_EQ(suggest_max_processes(100), kSerialSlowSearches);
-  EXPECT_GE(suggest_max_processes(500), kSerialSlowSearches);
-  EXPECT_GT(suggest_max_processes(5000), suggest_max_processes(100));
 }
 
 TEST(Workforce, ReductionSurvivesResizeCycles) {

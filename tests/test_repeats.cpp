@@ -1,11 +1,9 @@
 // Site-repeat detection: RepeatCombiner class identification, engine-level
 // bitwise invisibility (repeats on/off must produce identical results — the
 // copies are exact, values AND scale counts), CAT category-epoch
-// invalidation, crew-parallel operation, hit-rate obs counters, and the
-// opt-in repeat-aware partition cost folding.
+// invalidation, crew-parallel operation and hit-rate obs counters.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -212,32 +210,6 @@ TEST(Repeats, CrewParallelOnOffParity) {
     lnl_off = engine.evaluate(t) + engine.smooth_branches(t, 1);
   }
   EXPECT_EQ(lnl_on, lnl_off);
-}
-
-TEST(Repeats, CostFoldingIsOptInAndTolerancEqual) {
-  // Folding repeat copy-rates into the partition cost vector changes the
-  // crew's reduction split, so it is NOT bitwise-invisible — it is opt-in
-  // and must stay off by default. With it on, results agree to floating
-  // reassociation tolerance.
-  EXPECT_FALSE(repeat_cost_folding());
-
-  RepeatFixture f;
-  Workforce crew(3);
-  ScopedRepeats guard(true);
-  double lnl_plain = 0.0, lnl_folded = 0.0;
-  {
-    LikelihoodEngine engine(f.patterns, f.gtr, RateModel::gamma(0.7), &crew);
-    Tree t = *f.tree;
-    lnl_plain = engine.smooth_branches(t, 2);
-  }
-  set_repeat_cost_folding(true);
-  {
-    LikelihoodEngine engine(f.patterns, f.gtr, RateModel::gamma(0.7), &crew);
-    Tree t = *f.tree;
-    lnl_folded = engine.smooth_branches(t, 2);
-  }
-  set_repeat_cost_folding(false);
-  EXPECT_NEAR(lnl_folded, lnl_plain, std::fabs(lnl_plain) * 1e-9);
 }
 
 }  // namespace

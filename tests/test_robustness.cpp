@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "bio/io.h"
-#include "bio/partitions.h"
 #include "bio/patterns.h"
 #include "bio/seqsim.h"
 #include "core/hybrid.h"
