@@ -143,7 +143,7 @@ MatrixDataset make_dataset(std::size_t sites, int taxa, double mean_branch,
 // invalidate_all() forces every inner CLV to recompute, so the measurement
 // is newview-dominated — the kernel the SIMD family actually accelerates.
 double time_full_eval_ms(LikelihoodEngine& engine, Tree& tree) {
-  (void)engine.evaluate(tree);  // warm: CLVs, pmat scratch, repeat class maps
+  (void)engine.evaluate(tree);  // warm: CLVs, P cache, repeat class maps
   constexpr int kIters = 8;
   constexpr int kReps = 3;
   double best = std::numeric_limits<double>::infinity();

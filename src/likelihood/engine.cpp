@@ -1,6 +1,7 @@
 #include "likelihood/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,44 @@ kern::ClvLayout choose_layout(RateKind kind, std::size_t npat) {
   return layout;
 }
 
+// Phase B of a repeat newview: each listed pattern's CLV row and scale
+// count become its representative's. A row is `row` values kStep apart:
+// contiguous under pattern-major (kStep 1), one lane of each of its block's
+// planes under blocked (kStep kBlockLanes). kRow fixes the row length at
+// compile time for the common CAT/uniform (4) and GAMMA (16) rows.
+template <std::size_t kStep, std::size_t kRow>
+void copy_rows(const RepeatCopy* copies, std::size_t n, std::size_t row,
+               double* clv, int* scale) {
+  const std::size_t r = kRow != 0 ? kRow : row;
+  const auto base = [r](std::size_t p) {
+    return kStep == 1 ? p * r : (p / kStep) * r * kStep + p % kStep;
+  };
+  for (std::size_t k = 0; k < n; ++k) {
+    double* dst = clv + base(copies[k].dst);
+    const double* src = clv + base(copies[k].src);
+    for (std::size_t i = 0; i < r; ++i) dst[i * kStep] = src[i * kStep];
+    scale[copies[k].dst] = scale[copies[k].src];
+  }
+}
+
+void copy_repeat_rows(const kern::RateLayout& lay, const RepeatCopy* copies,
+                      std::size_t n, double* clv, int* scale) {
+  constexpr std::size_t kL = kern::kBlockLanes;
+  const std::size_t row = static_cast<std::size_t>(lay.clv_cats) * 4;
+  const bool blocked = lay.clv_layout == kern::ClvLayout::kBlocked;
+  switch (row) {
+    case 4:
+      return blocked ? copy_rows<kL, 4>(copies, n, row, clv, scale)
+                     : copy_rows<1, 4>(copies, n, row, clv, scale);
+    case 16:
+      return blocked ? copy_rows<kL, 16>(copies, n, row, clv, scale)
+                     : copy_rows<1, 16>(copies, n, row, clv, scale);
+    default:
+      return blocked ? copy_rows<kL, 0>(copies, n, row, clv, scale)
+                     : copy_rows<1, 0>(copies, n, row, clv, scale);
+  }
+}
+
 }  // namespace
 
 LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
@@ -51,18 +90,14 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   clvs_.resize(slots * clv_stride_);
   scales_.resize(slots * npat);
   slots_.resize(slots);
-  slot_repeats_.resize(slots);
+  record_repeats_.resize(3 * slots);
 
   if (rates_.kind() == RateKind::kGamma) {
     cat_weights_.assign(static_cast<std::size_t>(rates_.num_categories()),
                         1.0 / rates_.num_categories());
   }
 
-  const auto ncat = static_cast<std::size_t>(rates_.num_categories());
-  pmat_a_.resize(ncat * 16);
-  pmat_b_.resize(ncat * 16);
-  lookup_a_.resize(ncat * 64);
-  lookup_b_.resize(ncat * 64);
+  reset_pmat_cache();
   sumtable_.resize(clv_stride_);
   sum_scale_.resize(npat);
   per_pattern_scratch_.resize(npat);
@@ -126,12 +161,7 @@ void LikelihoodEngine::set_cat_assignment(std::vector<double> category_rates,
   RAXH_EXPECTS(rates_.kind() == RateKind::kCat);
   rates_.set_categories(std::move(category_rates),
                         std::move(pattern_categories));
-  // The number of model categories may have changed; resize P scratch.
-  const auto ncat = static_cast<std::size_t>(rates_.num_categories());
-  pmat_a_.resize(ncat * 16);
-  pmat_b_.resize(ncat * 16);
-  lookup_a_.resize(ncat * 64);
-  lookup_b_.resize(ncat * 64);
+  // A changed category count re-sizes the P cache on its next use.
   ++model_epoch_;
   // Under CAT, repeat classes fold in the per-pattern category, so the
   // reassignment invalidates every class array.
@@ -144,13 +174,93 @@ std::uint64_t LikelihoodEngine::content_version(const Tree& tree,
   return slots_[static_cast<std::size_t>(tree.clv_slot(rec))].version;
 }
 
-void LikelihoodEngine::fill_pmats(double t, std::vector<double>& pmats) const {
-  const int ncat = rates_.num_categories();
-  for (int c = 0; c < ncat; ++c) {
-    const auto p = model_.transition_matrix(t, rates_.rate(c));
-    std::copy(p.begin(), p.end(),
-              pmats.begin() + static_cast<std::size_t>(c) * 16);
+namespace {
+
+// Cache budget per engine. P lines take up to half of it, lookup lines the
+// rest; each table has a power-of-two line count (at most 64) plus a spare.
+constexpr std::size_t kPmatCacheBytes = std::size_t{512} << 10;
+constexpr std::size_t kMaxCacheLines = 64;
+
+std::size_t cache_lines(std::size_t budget, std::size_t line_bytes) {
+  std::size_t lines = 1;
+  while (lines * 2 <= kMaxCacheLines && (lines * 2 + 1) * line_bytes <= budget)
+    lines *= 2;
+  return lines;
+}
+
+// Fibonacci hashing of a branch length's bits.
+std::size_t cache_hash(std::uint64_t bits) {
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> 40);
+}
+
+}  // namespace
+
+std::size_t LikelihoodEngine::CacheTable::find(const CacheKey& key,
+                                               std::size_t pinned,
+                                               bool* hit) const {
+  // keys.size() - 1 direct-mapped lines, a power of two, then the spare.
+  const std::size_t i = cache_hash(key.bits) & (keys.size() - 2);
+  *hit = keys[i] == key;
+  return *hit || i != pinned ? i : keys.size() - 1;
+}
+
+void LikelihoodEngine::reset_pmat_cache() {
+  pmat_ncat_ = rates_.num_categories();
+  const auto ncat = static_cast<std::size_t>(pmat_ncat_);
+  const auto reset = [](CacheTable& t, std::size_t lines, std::size_t width) {
+    t.keys.assign(lines + 1, CacheKey{});
+    t.width = width;
+    t.values.assign((lines + 1) * width, 0.0);
+  };
+  const std::size_t p_lines =
+      cache_lines(kPmatCacheBytes / 2, ncat * 16 * sizeof(double));
+  reset(pmats_, p_lines, ncat * 16);
+  const std::size_t p_bytes = (p_lines + 1) * ncat * 16 * sizeof(double);
+  reset(lookups_,
+        cache_lines(kPmatCacheBytes - p_bytes, ncat * 64 * sizeof(double)),
+        ncat * 64);
+}
+
+std::size_t LikelihoodEngine::pmat_cache_line(double t) const {
+  return cache_hash(std::bit_cast<std::uint64_t>(t)) &
+         (pmats_.keys.size() - 2);
+}
+
+std::size_t LikelihoodEngine::pmat_line(double t, std::size_t pinned) {
+  if (pmat_ncat_ != rates_.num_categories()) reset_pmat_cache();
+  const CacheKey key{std::bit_cast<std::uint64_t>(t), model_epoch_};
+  bool hit = false;
+  const std::size_t line = pmats_.find(key, pinned, &hit);
+  if (hit) {
+    obs::count(obs::Counter::kPmatSetsReused);
+    return line;
   }
+  pmats_.keys[line] = key;
+  double* out = pmats_.line(line);
+  for (int c = 0; c < pmat_ncat_; ++c) {
+    const auto p = model_.transition_matrix(t, rates_.rate(c));
+    std::copy(p.begin(), p.end(), out + static_cast<std::size_t>(c) * 16);
+  }
+  obs::count(obs::Counter::kPmatSetsComputed);
+  return line;
+}
+
+const double* LikelihoodEngine::line_lookup(std::size_t line,
+                                            const double* pinned) {
+  const CacheKey& key = pmats_.keys[line];
+  const std::size_t pin =
+      pinned == nullptr
+          ? kNoLine
+          : static_cast<std::size_t>(pinned - lookups_.values.data()) /
+                lookups_.width;
+  bool hit = false;
+  const std::size_t slot = lookups_.find(key, pin, &hit);
+  double* lookup = lookups_.line(slot);
+  if (!hit) {
+    lookups_.keys[slot] = key;
+    kern::build_tip_lookup(line_pmats(line), pmat_ncat_, lookup);
+  }
+  return lookup;
 }
 
 void LikelihoodEngine::refresh_partition() {
@@ -225,7 +335,7 @@ std::uint64_t LikelihoodEngine::repeat_version(const Tree& tree,
     // current category assignment.
     return rates_.kind() == RateKind::kCat ? cat_epoch_ + 1 : 1;
   }
-  return slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))].version;
+  return repeats_of(rec).version;
 }
 
 ClassSource LikelihoodEngine::class_source(const Tree& tree, int rec) const {
@@ -236,33 +346,44 @@ ClassSource LikelihoodEngine::class_source(const Tree& tree, int rec) const {
                           : nullptr;
     return ClassSource::tip(row.data(), pcat, rates_.num_categories());
   }
-  const auto& sr =
-      slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
+  const auto& sr = repeats_of(rec);
   return ClassSource::inner(sr.class_of.data(), sr.num_classes);
 }
 
-void LikelihoodEngine::ensure_repeat_classes(const Tree& tree, int rec) {
-  if (tree.is_tip_record(rec)) return;
+void LikelihoodEngine::update_repeat_classes(const Tree& tree, int rec) {
   const auto [c1, c2] = tree.children(rec);
-  ensure_repeat_classes(tree, c1);
-  ensure_repeat_classes(tree, c2);
-
-  auto& sr = slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
+  auto& sr = repeats_of(rec);
   const std::uint64_t v1 = repeat_version(tree, c1);
   const std::uint64_t v2 = repeat_version(tree, c2);
-  if (sr.version != 0 && sr.oriented_rec == rec && sr.child_rec1 == c1 &&
+  if (sr.version != 0 && sr.child_rec1 == c1 &&
       sr.child_rec2 == c2 && sr.child_ver1 == v1 && sr.child_ver2 == v2 &&
       sr.cat_epoch == cat_epoch_)
     return;
 
-  const std::size_t npat = patterns_->num_patterns();
-  sr.num_classes = combiner_.combine(class_source(tree, c1),
-                                     class_source(tree, c2), npat,
-                                     &sr.class_of, &sr.reps);
-  sr.active =
-      sr.num_classes <= static_cast<std::uint32_t>(kRepeatActivationRatio *
-                                                   static_cast<double>(npat));
-  sr.oriented_rec = rec;
+  // A node's classes refine each child's, so an inactive inner child makes
+  // this node inactive too; skip the combine that could not activate.
+  const auto inactive = [&](int c) {
+    return !tree.is_tip_record(c) && !repeats_of(c).active;
+  };
+  if (inactive(c1) || inactive(c2)) {
+    sr.num_classes = 0;
+    sr.active = false;
+  } else {
+    const std::size_t npat = patterns_->num_patterns();
+    sr.num_classes =
+        combiner_.combine(class_source(tree, c1), class_source(tree, c2), npat,
+                          &sr.class_of, &sr.reps, &sr.copies);
+    sr.active = sr.num_classes <=
+                static_cast<std::uint32_t>(kRepeatActivationRatio *
+                                           static_cast<double>(npat));
+  }
+  if (!sr.active) {
+    // Nothing reads an inactive record's arrays (its parents skip their
+    // combine), so only active records hold pattern-sized memory.
+    sr.class_of = {};
+    sr.reps = {};
+    sr.copies = {};
+  }
   sr.child_rec1 = c1;
   sr.child_rec2 = c2;
   sr.child_ver1 = v1;
@@ -274,9 +395,8 @@ void LikelihoodEngine::ensure_repeat_classes(const Tree& tree, int rec) {
 std::uint32_t LikelihoodEngine::repeat_classes(const Tree& tree,
                                                int rec) const {
   if (tree.is_tip_record(rec)) return 0;
-  const auto& sr =
-      slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
-  return sr.oriented_rec == rec && sr.active ? sr.num_classes : 0;
+  const auto& sr = repeats_of(rec);
+  return sr.active ? sr.num_classes : 0;
 }
 
 std::uint64_t LikelihoodEngine::edge_scale_total(const Tree& tree, int rec) {
@@ -304,6 +424,7 @@ void LikelihoodEngine::ensure_clv(const Tree& tree, int rec) {
   const auto [c1, c2] = tree.children(rec);
   ensure_clv(tree, c1);
   ensure_clv(tree, c2);
+  if (repeats_enabled()) update_repeat_classes(tree, rec);
 
   auto& meta = slots_[static_cast<std::size_t>(tree.clv_slot(rec))];
   const double len1 = tree.length(tree.next(rec));
@@ -324,81 +445,63 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   const double len2 = tree.length(tree.next(tree.next(rec)));
   const int slot = tree.clv_slot(rec);
   const auto lay = layout();
-  const int ncat = rates_.num_categories();
 
-  fill_pmats(len1, pmat_a_);
-  fill_pmats(len2, pmat_b_);
-
+  // P sets and tip lookups come from the cache; only lengths (or a model)
+  // not seen since the last model change pay for transition_matrix.
+  const std::size_t line1 = pmat_line(len1);
+  const std::size_t line2 = pmat_line(len2, line1);
   const bool tip1 = tree.is_tip_record(c1);
   const bool tip2 = tree.is_tip_record(c2);
-  if (tip1) kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data());
-  if (tip2) kern::build_tip_lookup(pmat_b_.data(), ncat, lookup_b_.data());
+  const double* pmat1 = line_pmats(line1);
+  const double* pmat2 = line_pmats(line2);
 
   double* out = clv(slot);
   int* out_scale = scale(slot);
 
-  // Site repeats: when this node's repeat map is worth applying, phase A
-  // computes only the class representatives (the kernels take the rep list
-  // as `pattern_ids`) and phase B copies every other pattern's CLV + scale
-  // count from its representative. Copies are exact, so results are
-  // bitwise-identical to the plain full-range newview.
-  const std::size_t npat = patterns_->num_patterns();
-  const std::uint32_t* ids = nullptr;
-  std::size_t nreps = 0;
-  const SlotRepeats* sr = nullptr;
+  // Site repeats: ensure_clv has already brought this node's classes up to
+  // date. When its repeat map is active, phase A computes only the class
+  // representatives (the kernels take the rep list as `pattern_ids`) and
+  // phase B copies each listed non-representative's CLV + scale count from
+  // its representative. Copies are exact, so results are bitwise-identical
+  // to the plain full-range newview.
+  const RecordRepeats* sr = nullptr;
   if (repeats_enabled()) {
-    ensure_repeat_classes(tree, rec);
-    auto& srm = slot_repeats_[static_cast<std::size_t>(slot)];
-    if (srm.active) {
-      sr = &srm;
-      ids = srm.reps.data();
-      nreps = srm.reps.size();
-    }
+    const auto& srm = repeats_of(rec);
+    if (srm.active) sr = &srm;
   }
 
   auto run_newview = [&](auto&& nv) {
-    if (ids == nullptr) {
-      dispatch([&](std::size_t b, std::size_t e, int) { nv(b, e); });
+    if (sr == nullptr) {
+      dispatch([&](std::size_t b, std::size_t e, int) { nv(b, e, nullptr); });
       return;
     }
-    dispatch_range(nreps, [&](std::size_t b, std::size_t e, int) { nv(b, e); });
-    dispatch([&](std::size_t b, std::size_t e, int) {
-      const std::uint32_t* cls = sr->class_of.data();
-      const std::uint32_t* reps = sr->reps.data();
-      const std::size_t row = static_cast<std::size_t>(lay.clv_cats) * 4;
-      for (std::size_t p = b; p < e; ++p) {
-        const std::size_t rp = reps[cls[p]];
-        if (rp == p) continue;
-        if (lay.clv_layout == kern::ClvLayout::kPatternMajor) {
-          std::memcpy(out + p * row, out + rp * row, row * sizeof(double));
-        } else {
-          for (int c = 0; c < lay.clv_cats; ++c)
-            for (int s = 0; s < 4; ++s)
-              out[lay.clv_index(p, c, s)] = out[lay.clv_index(rp, c, s)];
-        }
-        out_scale[p] = out_scale[rp];
-      }
+    const std::uint32_t* ids = sr->reps.data();
+    dispatch_range(sr->reps.size(),
+                   [&](std::size_t b, std::size_t e, int) { nv(b, e, ids); });
+    dispatch_range(sr->copies.size(), [&](std::size_t b, std::size_t e, int) {
+      copy_repeat_rows(lay, sr->copies.data() + b, e - b, out, out_scale);
     });
-    obs::count(obs::Counter::kRepeatPatternsComputed, nreps);
-    obs::count(obs::Counter::kRepeatPatternsCopied, npat - nreps);
+    obs::count(obs::Counter::kRepeatPatternsComputed, sr->reps.size());
+    obs::count(obs::Counter::kRepeatPatternsCopied, sr->copies.size());
   };
 
   if (tip1 && tip2) {
     const auto row1 = patterns_->row(static_cast<std::size_t>(c1));
     const auto row2 = patterns_->row(static_cast<std::size_t>(c2));
-    run_newview([&](std::size_t b, std::size_t e) {
-      kern::newview_tip_tip(lay, b, e, row1.data(), row2.data(),
-                            lookup_a_.data(), lookup_b_.data(), out,
-                            out_scale, ids);
+    const double* lookup1 = line_lookup(line1);
+    const double* lookup2 = line_lookup(line2, lookup1);
+    run_newview([&](std::size_t b, std::size_t e, const std::uint32_t* ids) {
+      kern::newview_tip_tip(lay, b, e, row1.data(), row2.data(), lookup1,
+                            lookup2, out, out_scale, ids);
     });
   } else if (tip1 || tip2) {
     const int tip_rec = tip1 ? c1 : c2;
     const int inner_rec = tip1 ? c2 : c1;
     const auto tip_row = patterns_->row(static_cast<std::size_t>(tip_rec));
-    const double* tip_lookup = tip1 ? lookup_a_.data() : lookup_b_.data();
-    const double* inner_pmat = tip1 ? pmat_b_.data() : pmat_a_.data();
+    const double* tip_lookup = line_lookup(tip1 ? line1 : line2);
+    const double* inner_pmat = tip1 ? pmat2 : pmat1;
     const int inner_slot = tree.clv_slot(inner_rec);
-    run_newview([&](std::size_t b, std::size_t e) {
+    run_newview([&](std::size_t b, std::size_t e, const std::uint32_t* ids) {
       kern::newview_tip_inner(lay, b, e, tip_row.data(), tip_lookup,
                               clv(inner_slot), scale(inner_slot), inner_pmat,
                               out, out_scale, ids);
@@ -406,10 +509,10 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   } else {
     const int slot1 = tree.clv_slot(c1);
     const int slot2 = tree.clv_slot(c2);
-    run_newview([&](std::size_t b, std::size_t e) {
-      kern::newview_inner_inner(lay, b, e, clv(slot1), scale(slot1),
-                                pmat_a_.data(), clv(slot2), scale(slot2),
-                                pmat_b_.data(), out, out_scale, ids);
+    run_newview([&](std::size_t b, std::size_t e, const std::uint32_t* ids) {
+      kern::newview_inner_inner(lay, b, e, clv(slot1), scale(slot1), pmat1,
+                                clv(slot2), scale(slot2), pmat2, out,
+                                out_scale, ids);
     });
   }
 
@@ -437,33 +540,32 @@ double LikelihoodEngine::evaluate_edge(const Tree& tree, int rec,
   if (tree.is_tip_record(y)) std::swap(x, y);
   RAXH_EXPECTS(!tree.is_tip_record(y));  // no tip-tip edges in trees with n>=3
 
-  // Ensure both CLVs before touching the P-matrix scratch: CLV computation
-  // reuses pmat_a_/lookup_a_ internally.
+  // Ensure both CLVs before taking the edge's P line: their newviews fill
+  // cache lines and may evict it.
   ensure_clv(tree, y);
   if (!tree.is_tip_record(x)) ensure_clv(tree, x);
 
   const auto lay = layout();
-  const int ncat = rates_.num_categories();
-  const double t = tree.length(rec);
-  fill_pmats(t, pmat_a_);
+  const std::size_t line = pmat_line(tree.length(rec));
   const double* freqs = model_.freqs().data();
   const int slot_y = tree.clv_slot(y);
 
   if (tree.is_tip_record(x)) {
     const auto tip_row = patterns_->row(static_cast<std::size_t>(x));
-    kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data());
+    const double* lookup = line_lookup(line);
     return dispatch_sum([&](std::size_t b, std::size_t e, int) {
       return kern::evaluate_tip_inner(lay, b, e, freqs, tip_row.data(),
-                                      lookup_a_.data(), clv(slot_y),
+                                      lookup, clv(slot_y),
                                       scale(slot_y), weights_.data(),
                                       per_pattern);
     });
   }
 
   const int slot_x = tree.clv_slot(x);
+  const double* pmat = line_pmats(line);
   return dispatch_sum([&](std::size_t b, std::size_t e, int) {
     return kern::evaluate_inner_inner(lay, b, e, freqs, clv(slot_x),
-                                      scale(slot_x), pmat_a_.data(),
+                                      scale(slot_x), pmat,
                                       clv(slot_y), scale(slot_y),
                                       weights_.data(), per_pattern);
   });

@@ -99,10 +99,14 @@ class LikelihoodEngine {
   // pattern-major|blocked overrides (blocked is ignored for CAT).
   [[nodiscard]] kern::ClvLayout clv_layout() const { return clv_layout_; }
 
-  // Site-repeat bookkeeping for the most recent newview of `rec`'s slot
-  // (tests + benches): number of repeat classes, or 0 when repeats were not
-  // applied there.
+  // Site-repeat bookkeeping of directed record `rec` as last built (tests +
+  // benches): number of repeat classes, or 0 when repeats are not applied
+  // there.
   [[nodiscard]] std::uint32_t repeat_classes(const Tree& tree, int rec) const;
+
+  // Line of the P-matrix cache that branch length `t` maps to, as the cache
+  // is currently sized (tests use it to build colliding lengths).
+  [[nodiscard]] std::size_t pmat_cache_line(double t) const;
 
   // Sum over patterns of the combined scale counts at edge `rec`'s CLV
   // endpoints (tips contribute zero; ensures the CLVs first). Tests use this
@@ -126,22 +130,68 @@ class LikelihoodEngine {
   [[nodiscard]] int* scale(int slot);
   [[nodiscard]] std::uint64_t content_version(const Tree& tree, int rec) const;
 
-  // Make CLV(rec) valid (recursing into children); no-op for tips.
+  // Make CLV(rec) valid (recursing into children); no-op for tips. With
+  // repeats on, the same post-order walk keeps each node's repeat classes
+  // current before its CLV is checked.
   void ensure_clv(const Tree& tree, int rec);
   void compute_clv(const Tree& tree, int rec);
 
   // --- site repeats (repeats.h) ---
+  // Classes are kept per directed inner record, not per CLV slot, so a
+  // slot's orientation flipping back and forth (branch smoothing walks the
+  // tree) reuses each direction's classes instead of recombining them.
+  [[nodiscard]] RecordRepeats& repeats_of(int rec) {
+    return record_repeats_[static_cast<std::size_t>(rec) -
+                           patterns_->num_taxa()];
+  }
+  [[nodiscard]] const RecordRepeats& repeats_of(int rec) const {
+    return record_repeats_[static_cast<std::size_t>(rec) -
+                           patterns_->num_taxa()];
+  }
   // Repeat-class version of rec's node (tips: derived from the CAT epoch).
   [[nodiscard]] std::uint64_t repeat_version(const Tree& tree, int rec) const;
-  // Make the repeat classes of inner node rec valid, recursing into
-  // children. Classes depend on subtree topology + tip data only, so they
-  // survive branch-length and model changes (CAT category reassignment
-  // excepted).
-  void ensure_repeat_classes(const Tree& tree, int rec);
+  // Make the repeat classes of inner node rec valid, given its children's
+  // are. Classes depend on subtree topology + tip data only, so they survive
+  // branch-length and model changes (CAT category reassignment excepted).
+  void update_repeat_classes(const Tree& tree, int rec);
   [[nodiscard]] ClassSource class_source(const Tree& tree, int rec) const;
 
-  // Fill pmats (ncat_model * 16) for branch length t.
-  void fill_pmats(double t, std::vector<double>& pmats) const;
+  // --- P-matrix cache ---
+  // P(t) depends only on the bits of t and the model state, and every model
+  // change bumps model_epoch_, so each per-category P set is kept in a
+  // direct-mapped line keyed by (t bits, model_epoch_) and reused exactly.
+  // Tip lookups, four times larger, live in a smaller direct-mapped table
+  // of their own under the same key.
+  struct CacheKey {
+    std::uint64_t bits = 0;
+    std::uint64_t epoch = 0;  // 0 = empty; model epochs start at 1
+    bool operator==(const CacheKey&) const = default;
+  };
+  struct CacheTable {
+    std::vector<CacheKey> keys;  // direct-mapped lines, then the spare
+    std::vector<double> values;  // `width` doubles per line
+    std::size_t width = 0;
+    // The line `key` maps to if it holds `key`, else the line to fill: the
+    // mapped one, or the spare when the mapped one is `pinned`.
+    std::size_t find(const CacheKey& key, std::size_t pinned,
+                     bool* hit) const;
+    [[nodiscard]] double* line(std::size_t i) {
+      return values.data() + i * width;
+    }
+  };
+  static constexpr std::size_t kNoLine = ~std::size_t{0};
+  // P set of branch length t under the current model (filled on a miss).
+  // `pinned` is a P line the caller still reads; the returned line index
+  // identifies the set for line_pmats/line_lookup.
+  std::size_t pmat_line(double t, std::size_t pinned = kNoLine);
+  [[nodiscard]] const double* line_pmats(std::size_t line) {
+    return pmats_.line(line);
+  }
+  // Tip lookup of P line `line` (kern::build_tip_lookup), built on a miss;
+  // `pinned` is a lookup the caller still reads.
+  const double* line_lookup(std::size_t line, const double* pinned = nullptr);
+  // Size both tables for the current category count and empty them.
+  void reset_pmat_cache();
 
   // Partitioned dispatch helper: runs fn(begin, end, tid) over patterns,
   // splitting by the cost-aware partition (see refresh_partition()).
@@ -189,15 +239,19 @@ class LikelihoodEngine {
   std::uint64_t version_counter_ = 1;
   std::uint64_t newview_count_ = 0;
 
-  // Site-repeat state: per-slot classes plus combine scratch.
-  std::vector<SlotRepeats> slot_repeats_;
+  // Site-repeat state: per-inner-record classes plus combine scratch.
+  std::vector<RecordRepeats> record_repeats_;
   RepeatCombiner combiner_;
   std::uint64_t repeat_version_counter_ = 0;
   std::uint64_t cat_epoch_ = 0;  // bumped by set_cat_assignment
 
+  // P-matrix cache (master-filled, crew-read): ncat * 16 doubles per P
+  // line, ncat * 64 per lookup line; at most 512 KiB at kMaxCatMatrices.
+  CacheTable pmats_;
+  CacheTable lookups_;
+  int pmat_ncat_ = 0;
+
   // Scratch (master-filled, crew-read).
-  std::vector<double> pmat_a_, pmat_b_;
-  std::vector<double> lookup_a_, lookup_b_;
   AlignedVector<double> sumtable_;
   std::vector<int> sum_scale_;  // combined scale counts of the sumtable edge
   std::vector<double> per_pattern_scratch_;

@@ -26,19 +26,6 @@ constexpr double kMinLikelihood = 1e-300;
 // path there.
 // -------------------------------------------------------------------------
 
-// x[i] = sum_{j in mask} P[i][j] for a full 4x4 row-major P.
-inline void pdotmask(const double* p, DnaState mask, double* x) {
-  x[0] = x[1] = x[2] = x[3] = 0.0;
-  for (int j = 0; j < 4; ++j) {
-    if ((mask >> j) & 1) {
-      x[0] += p[0 * 4 + j];
-      x[1] += p[1 * 4 + j];
-      x[2] += p[2 * 4 + j];
-      x[3] += p[3 * 4 + j];
-    }
-  }
-}
-
 inline void pdotvec(const double* p, const double* y, double* x) {
   for (int i = 0; i < 4; ++i) {
     x[i] = p[i * 4 + 0] * y[0] + p[i * 4 + 1] * y[1] + p[i * 4 + 2] * y[2] +
@@ -273,6 +260,9 @@ constexpr detail::KernelOps kScalarOps = {
 
 namespace detail {
 const KernelOps* ops_scalar() { return &kScalarOps; }
+void note_scalar_patterns(std::size_t n) {
+  obs::count(obs::Counter::kKernelScalarPatterns, n);
+}
 }  // namespace detail
 
 namespace {
@@ -477,10 +467,20 @@ std::string to_json_section() {
 }
 
 void build_tip_lookup(const double* pmats, int ncat, double* lookup) {
+  // lookup[mask][i] = sum_{j in mask} P[i][j], summed from 0.0 in ascending
+  // j. Masks in [2^b, 2^(b+1)) are then the masks below 2^b plus column b:
+  // one add per value, always in the same order.
   for (int c = 0; c < ncat; ++c) {
     const double* p = pmats + c * 16;
-    for (int mask = 0; mask < 16; ++mask) {
-      pdotmask(p, static_cast<DnaState>(mask), lookup + c * 64 + mask * 4);
+    double* out = lookup + c * 64;
+    for (int i = 0; i < 4; ++i) out[i] = 0.0;
+    for (int b = 0; b < 4; ++b) {
+      const int high = 1 << b;
+      double col[4];
+      for (int i = 0; i < 4; ++i) col[i] = p[i * 4 + b];
+      for (int m = 0; m < high; ++m)
+        for (int i = 0; i < 4; ++i)
+          out[(high + m) * 4 + i] = out[m * 4 + i] + col[i];
     }
   }
 }

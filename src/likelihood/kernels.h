@@ -300,10 +300,15 @@ struct KernelOps {
 };
 
 // The scalar reference table (kernels.cpp); always available. SIMD members
-// delegate awkward subranges to it — unaligned block edges, scattered
-// repeat-id lists under the blocked layout — which is bitwise-safe because
-// every member keeps the scalar per-lane operation order.
+// delegate the unaligned block edges of newview/sumtable ranges to it, which
+// is bitwise-safe because every member keeps the scalar per-lane operation
+// order.
 [[nodiscard]] const KernelOps* ops_scalar();
+
+// Record `n` patterns delegated to ops_scalar() by one SIMD call (the
+// obs::Counter::kKernelScalarPatterns counter). Defined out of line in
+// kernels.cpp so the per-ISA TUs emit no inline obs code under their -m flags.
+void note_scalar_patterns(std::size_t n);
 
 // Implemented in the per-ISA TUs; returns nullptr when not compiled in.
 [[nodiscard]] const KernelOps* ops_generic();

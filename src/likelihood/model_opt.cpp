@@ -98,11 +98,6 @@ double LikelihoodEngine::optimize_cat_rates(Tree& tree) {
   rates_ = saved;
 
   rates_.assign_categories_from_rates(best_rate, weights_);
-  const auto ncat = static_cast<std::size_t>(rates_.num_categories());
-  pmat_a_.resize(ncat * 16);
-  pmat_b_.resize(ncat * 16);
-  lookup_a_.resize(ncat * 64);
-  lookup_b_.resize(ncat * 64);
   ++model_epoch_;
   // Same as set_cat_assignment: the reassignment invalidates every CAT
   // repeat class array, not just the CLVs.

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "bio/dna.h"
@@ -64,48 +63,62 @@ struct ClassSource {
   }
 };
 
-// Pair-renumbering scratch, reusable across newviews so the direct lookup
-// table is allocated once. Not thread-safe; the engine combines on the
-// master thread (an O(npat) pass, small next to the kernels it saves).
+// One non-representative pattern and the representative it copies from.
+struct RepeatCopy {
+  std::uint32_t dst;
+  std::uint32_t src;
+};
+
+// Pair-renumbering scratch, reusable across newviews so the table is
+// allocated once. Not thread-safe; the engine combines on the master thread.
+// The pass is O(npat) but it is serial Amdahl time on every newview whose
+// subtree changed (a quarter of an ordinary-divergence run before inactive
+// parents stopped combining), so it is kept to one cache-sized table.
 class RepeatCombiner {
  public:
-  // Densely renumber the pairs (a.at(p), b.at(p)) over [0, npat): fills
-  // class_of[p] with the pattern's class id and reps[k] with the first
-  // (lowest-index) pattern of class k; returns the class count.
+  // Densely renumber the pairs (a.at(p), b.at(p)) over [0, npat) in order of
+  // first occurrence: fills class_of[p] with the pattern's class id, reps[k]
+  // with the first (lowest-index) pattern of class k, and copies with every
+  // other pattern paired with its representative, in pattern order. Returns
+  // the class count.
   std::uint32_t combine(const ClassSource& a, const ClassSource& b,
                         std::size_t npat,
                         std::vector<std::uint32_t>* class_of,
-                        std::vector<std::uint32_t>* reps);
+                        std::vector<std::uint32_t>* reps,
+                        std::vector<RepeatCopy>* copies = nullptr);
 
  private:
-  // Direct table for small pair spaces (a.num_classes * b.num_classes <=
-  // kDirectMax), stamped per call so it never needs clearing; hash map
-  // beyond that.
-  static constexpr std::uint64_t kDirectMax = std::uint64_t{1} << 20;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint32_t> table_;
-  std::uint64_t epoch_ = 0;
-  std::unordered_map<std::uint64_t, std::uint32_t> map_;
+  // Open addressing with linear probing over next_pow2(2 * npat) slots, so
+  // the load factor stays <= 1/2 whatever the pair space; cleared per call.
+  std::vector<std::uint64_t> keys_;  // kEmpty or the pair a * nb + b
+  std::vector<std::uint32_t> ids_;
 };
 
-// Per-CLV-slot repeat state owned by the engine. `version` identifies the
-// class-array content so parents can validate against it (analogous to the
-// CLV SlotMeta version).
-struct SlotRepeats {
-  int oriented_rec = -1;
+// Per-directed-record repeat state owned by the engine. `version`
+// identifies the class-array content so parents can validate against it
+// (analogous to the CLV SlotMeta version).
+struct RecordRepeats {
   int child_rec1 = -1, child_rec2 = -1;
   std::uint64_t child_ver1 = 0, child_ver2 = 0;  // child repeat versions
   std::uint64_t cat_epoch = 0;   // CAT assignment the classes were built for
   std::uint64_t version = 0;     // 0 = never built
   std::uint32_t num_classes = 0;
-  bool active = false;  // worth using (enough duplication)
+  // Worth using (enough duplication). A node with an inactive inner child is
+  // inactive without combining: its classes refine the child's, so it has
+  // at least as many. Inactive records hold no class_of/reps/copies.
+  bool active = false;
   std::vector<std::uint32_t> class_of;
   std::vector<std::uint32_t> reps;
+  std::vector<RepeatCopy> copies;
 };
 
-// A repeat map is only worth applying when enough patterns are copies;
-// computing representatives through a scattered id list costs slightly more
-// per pattern than a straight range.
-inline constexpr double kRepeatActivationRatio = 0.9;
+// A repeat map is only worth applying when enough patterns are copies: a
+// representative computed through a scattered id list costs more than one in
+// a straight range (gathered lanes under the blocked layout) and every copy
+// costs a CLV row. Paired in-process timings of branch smoothing and SPR
+// sweeps on a duplicate-heavy (267 patterns) and an ordinary (763 patterns)
+// alignment, GAMMA and CAT, were within +-3% of repeats off at ratios
+// 0.2-0.5 and lost up to 12% at 0.9 (EXPERIMENTS.md).
+inline constexpr double kRepeatActivationRatio = 0.5;
 
 }  // namespace raxh

@@ -93,17 +93,22 @@ std::array<double, 16> GtrModel::transition_matrix(double t, double rate) const 
     expl[static_cast<std::size_t>(k)] =
         std::exp(eigenvalues_[static_cast<std::size_t>(k)] * t * rate);
 
+  // P_ij = sum_k (V_ik * e_k) * Vinv_kj, summed from 0.0 in k order. Each
+  // product V_ik * e_k is formed once and applied to the whole row, which
+  // keeps every entry's operations and their order.
   std::array<double, 16> p{};
   for (int i = 0; i < kStates; ++i) {
-    for (int j = 0; j < kStates; ++j) {
-      double sum = 0.0;
-      for (int k = 0; k < kStates; ++k)
-        sum += v_[static_cast<std::size_t>(i * kStates + k)] *
-               expl[static_cast<std::size_t>(k)] *
-               vinv_[static_cast<std::size_t>(k * kStates + j)];
-      // Round-off can push tiny probabilities slightly negative.
-      p[static_cast<std::size_t>(i * kStates + j)] = sum < 0.0 ? 0.0 : sum;
+    double row[kStates] = {0.0, 0.0, 0.0, 0.0};
+    for (int k = 0; k < kStates; ++k) {
+      const double ve = v_[static_cast<std::size_t>(i * kStates + k)] *
+                        expl[static_cast<std::size_t>(k)];
+      for (int j = 0; j < kStates; ++j)
+        row[j] += ve * vinv_[static_cast<std::size_t>(k * kStates + j)];
     }
+    // Round-off can push tiny probabilities slightly negative.
+    for (int j = 0; j < kStates; ++j)
+      p[static_cast<std::size_t>(i * kStates + j)] =
+          row[j] < 0.0 ? 0.0 : row[j];
   }
   return p;
 }

@@ -203,6 +203,12 @@ const char* counter_name(Counter c) {
       return "repeat_patterns_computed";
     case Counter::kRepeatPatternsCopied:
       return "repeat_patterns_copied";
+    case Counter::kKernelScalarPatterns:
+      return "kernel_scalar_patterns";
+    case Counter::kPmatSetsComputed:
+      return "pmat_sets_computed";
+    case Counter::kPmatSetsReused:
+      return "pmat_sets_reused";
     case Counter::kCount:
       break;
   }

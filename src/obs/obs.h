@@ -91,6 +91,11 @@ enum class Counter : int {
                             // actually computed
   kRepeatPatternsCopied,    // site-repeat newview: patterns served by
                             // copying their class representative
+  kKernelScalarPatterns,    // newview/sumtable patterns a SIMD member
+                            // handed to the scalar reference (ragged block
+                            // head/tail); kKernelFallback counts whole calls
+  kPmatSetsComputed,        // per-category P sets built (transition_matrix)
+  kPmatSetsReused,          // ... and served exactly from the engine's cache
   kCount
 };
 inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);

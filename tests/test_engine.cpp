@@ -15,8 +15,10 @@
 #include "bio/seqsim.h"
 #include "likelihood/engine.h"
 #include "likelihood/kernels.h"
+#include "likelihood/repeats.h"
 #include "model/gtr.h"
 #include "model/rates.h"
+#include "obs/obs.h"
 #include "parallel/workforce.h"
 #include "tree/tree.h"
 #include "util/prng.h"
@@ -406,6 +408,167 @@ TEST(Engine, DefaultClvLayoutFollowsRateModelAndPatternCount) {
             kern::ClvLayout::kPatternMajor);
 
   if (saved) setenv("RAXH_CLV_LAYOUT", saved->c_str(), 1);
+}
+
+// --- P-matrix cache -------------------------------------------------------
+
+struct ScopedObs {
+  ScopedObs() : prev(obs::enabled()) { obs::set_enabled(true); }
+  ~ScopedObs() { obs::set_enabled(prev); }
+  bool prev;
+};
+
+std::uint64_t delta(const obs::CounterSnapshot& a,
+                    const obs::CounterSnapshot& b, obs::Counter c) {
+  return b[c] - a[c];
+}
+
+TEST(PmatCache, EveryFillIsComputedOrReusedAndCountsRepeat) {
+  // Each newview fills two P sets and each edge evaluation one; every fill
+  // is either computed or served from the cache, and at a fixed input the
+  // split is deterministic.
+  Fixture f(10, 120, 211);
+  ScopedObs on;
+  std::uint64_t computed[2] = {}, reused[2] = {};
+  for (int run = 0; run < 2; ++run) {
+    LikelihoodEngine engine(f.patterns, f.gtr, RateModel::gamma(0.6));
+    Tree t = *f.tree;
+    const auto before = obs::counters_snapshot();
+    engine.smooth_branches(t, 2);
+    engine.optimize_alpha(t);
+    const auto after = obs::counters_snapshot();
+    computed[run] = delta(before, after, obs::Counter::kPmatSetsComputed);
+    reused[run] = delta(before, after, obs::Counter::kPmatSetsReused);
+    const std::uint64_t fills =
+        2 * delta(before, after, obs::Counter::kNewviewCalls) +
+        delta(before, after, obs::Counter::kEvaluateCalls);
+    EXPECT_EQ(computed[run] + reused[run], fills);
+    EXPECT_GT(reused[run], std::uint64_t{0});
+  }
+  EXPECT_EQ(computed[0], computed[1]);
+  EXPECT_EQ(reused[0], reused[1]);
+}
+
+TEST(PmatCache, LongLivedEngineMatchesFreshEngineBitwise) {
+  // Staleness oracle: a long-lived engine (warm P cache, warm CLVs) must
+  // give exactly the lnL of an engine built cold for the same state, after
+  // every kind of model or branch-length change.
+  Fixture f(12, 150, 223);
+  Tree tree = *f.tree;
+  GtrParams gtr = f.gtr;
+  double alpha = 0.6;
+  LikelihoodEngine warm(f.patterns, gtr, RateModel::gamma(alpha));
+  const auto fresh = [&] {
+    LikelihoodEngine cold(f.patterns, gtr, RateModel::gamma(alpha));
+    return cold.evaluate(tree);
+  };
+  (void)warm.smooth_branches(tree, 1);
+  EXPECT_EQ(warm.evaluate(tree), fresh());
+
+  gtr.rates = {2.0, 3.5, 0.7, 1.1, 4.0, 1.0};
+  warm.set_gtr(gtr);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "set_gtr";
+
+  alpha = 1.3;
+  warm.set_alpha(alpha);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "set_alpha";
+
+  // A length moved away and back: the earlier P set is a cache hit again.
+  const int e = tree.edges()[3];
+  const double t0 = tree.length(e);
+  tree.set_length(e, t0 * 1.7);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "moved length";
+  tree.set_length(e, t0);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "length restored";
+
+  // Both children of the node next to tip 0 on lengths that share a cache
+  // line: the second P set must not evict the first while the newview reads
+  // it. A cold engine would share such a bug, so the independent reference
+  // is the oracle here.
+  const int r = tree.back(0);
+  const double a = 0.0421;
+  double b = a;
+  for (int k = 1; k < 100000; ++k) {
+    b = a + 1e-4 * k;
+    if (warm.pmat_cache_line(b) == warm.pmat_cache_line(a)) break;
+  }
+  ASSERT_EQ(warm.pmat_cache_line(b), warm.pmat_cache_line(a));
+  ASSERT_NE(a, b);
+  tree.set_length(tree.next(r), a);
+  tree.set_length(tree.next(tree.next(r)), b);
+  const double got = warm.evaluate(tree);
+  EXPECT_EQ(got, fresh()) << "colliding lengths";
+  RefCtx ctx;
+  ctx.tree = &tree;
+  ctx.patterns = &f.patterns;
+  const GtrModel model(gtr);
+  ctx.model = &model;
+  ctx.rates.assign(warm.rates().rates().begin(), warm.rates().rates().end());
+  ctx.weights.assign(ctx.rates.size(), 1.0 / static_cast<double>(ctx.rates.size()));
+  const double expected = ref_lnl(ctx, warm.weights());
+  EXPECT_NEAR(got, expected, std::fabs(expected) * 1e-10) << "colliding lengths";
+}
+
+TEST(PmatCache, CatReassignmentMatchesFreshEngineBitwise) {
+  Fixture f(10, 160, 227);
+  Tree tree = *f.tree;
+  const std::size_t npat = f.patterns.num_patterns();
+  LikelihoodEngine warm(f.patterns, f.gtr, RateModel::cat(npat));
+  const auto fresh = [&] {
+    LikelihoodEngine cold(f.patterns, f.gtr, RateModel::cat(npat));
+    const auto& rm = warm.rates();
+    cold.set_cat_assignment(
+        std::vector<double>(rm.rates().begin(), rm.rates().end()),
+        std::vector<int>(rm.pattern_categories().begin(),
+                         rm.pattern_categories().end()));
+    return cold.evaluate(tree);
+  };
+  (void)warm.smooth_branches(tree, 1);
+  EXPECT_EQ(warm.evaluate(tree), fresh());
+
+  (void)warm.optimize_cat_rates(tree);
+  ASSERT_GT(warm.rates().num_categories(), 1);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "optimize_cat_rates";
+
+  std::vector<int> cats(npat);
+  for (std::size_t p = 0; p < npat; ++p) cats[p] = static_cast<int>(p % 3);
+  warm.set_cat_assignment({0.4, 1.0, 2.2}, cats);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "set_cat_assignment";
+  // Same category count, new rates: the cache keeps its shape, so only the
+  // model epoch separates the old P sets from the new ones.
+  warm.set_cat_assignment({0.5, 1.1, 2.0}, cats);
+  EXPECT_EQ(warm.evaluate(tree), fresh()) << "set_cat_assignment, same ncat";
+}
+
+TEST(KernelCounters, ScalarPatternsCountTheRaggedTail) {
+  // A T=1 blocked GAMMA engine on 37 patterns runs [0, 37) per call: four
+  // full blocks plus 5 ragged-tail patterns the SIMD member hands to the
+  // scalar reference, once per newview and once per sumtable.
+  if (kern::kernel_isa() == kern::KernelIsa::kScalar)
+    GTEST_SKIP() << "scalar member active: nothing is delegated";
+  std::optional<Fixture> f;
+  for (std::size_t sites = 37; sites < 80 && !f; ++sites) {
+    f.emplace(9, sites, 229);
+    if (f->patterns.num_patterns() != 37) f.reset();
+  }
+  ASSERT_TRUE(f.has_value());
+  const bool repeats_were = repeats_enabled();
+  set_repeats_enabled(false);
+  ScopedObs on;
+  LikelihoodEngine engine(f->patterns, f->gtr, RateModel::gamma(0.6));
+  if (engine.clv_layout() != kern::ClvLayout::kBlocked) {
+    set_repeats_enabled(repeats_were);
+    GTEST_SKIP() << "RAXH_CLV_LAYOUT forces pattern-major";
+  }
+  Tree t = *f->tree;
+  const auto before = obs::counters_snapshot();
+  (void)engine.evaluate(t);
+  engine.prepare_branch(t, 0);
+  const auto after = obs::counters_snapshot();
+  set_repeats_enabled(repeats_were);
+  EXPECT_EQ(delta(before, after, obs::Counter::kKernelScalarPatterns),
+            5 * (engine.newview_count() + 1));
+  EXPECT_EQ(delta(before, after, obs::Counter::kKernelFallback), 0u);
 }
 
 }  // namespace

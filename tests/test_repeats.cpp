@@ -4,7 +4,12 @@
 // invalidation, crew-parallel operation and hit-rate obs counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "bio/patterns.h"
@@ -14,6 +19,7 @@
 #include "obs/obs.h"
 #include "parallel/workforce.h"
 #include "search/parsimony.h"
+#include "search/spr.h"
 #include "util/prng.h"
 
 namespace raxh {
@@ -46,32 +52,79 @@ TEST(Repeats, CombinerRenumbersTipPairs) {
   EXPECT_EQ(reps, (std::vector<std::uint32_t>{0, 2, 3, 5, 6}));
 }
 
-TEST(Repeats, CombinerMapPathMatchesDirectPath) {
-  // Same key structure, once with tiny class counts (direct stamped table)
-  // and once with the ids spread over a pair space past kDirectMax (hash
-  // map). The dense renumbering must be identical.
-  const std::size_t npat = 200;
-  std::vector<std::uint32_t> small_a(npat), small_b(npat), big_a(npat),
-      big_b(npat);
-  for (std::size_t p = 0; p < npat; ++p) {
-    small_a[p] = static_cast<std::uint32_t>(p % 3);
-    small_b[p] = static_cast<std::uint32_t>(p % 2);
-    big_a[p] = small_a[p] * 1000;
-    big_b[p] = small_b[p] * 1500;
-  }
+TEST(Repeats, CombinerMatchesFirstOccurrenceReference) {
+  // Seeded property test against a naive std::map renumbering: inner
+  // sources over small and large class counts (pair spaces past 2^20) and
+  // tip sources with and without CAT categories.
+  std::mt19937_64 rng(20170401);
   RepeatCombiner combiner;
-  std::vector<std::uint32_t> class_small, reps_small, class_big, reps_big;
-  const auto n_small =
-      combiner.combine(ClassSource::inner(small_a.data(), 3),
-                       ClassSource::inner(small_b.data(), 2), npat,
-                       &class_small, &reps_small);
-  const auto n_big =
-      combiner.combine(ClassSource::inner(big_a.data(), 3000),
-                       ClassSource::inner(big_b.data(), 3000), npat,
-                       &class_big, &reps_big);
-  EXPECT_EQ(n_small, n_big);
-  EXPECT_EQ(class_small, class_big);
-  EXPECT_EQ(reps_small, reps_big);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t npat = 1 + rng() % 2500;
+    std::vector<std::uint32_t> inner[2];
+    std::vector<DnaState> tips[2];
+    std::vector<int> pcat(npat);
+    const int ncat = 1 + static_cast<int>(rng() % 25);
+    for (auto& c : pcat) c = static_cast<int>(rng() % ncat);
+    ClassSource src[2];
+    for (int side = 0; side < 2; ++side) {
+      switch (rng() % 4) {
+        case 0:
+        case 1: {
+          // Inner ids: half the trials draw from a few classes (many
+          // repeats), half from class counts that put the pair space past
+          // 2^20. A third of them use up to npat distinct ids, filling the
+          // table to its maximum load.
+          const std::uint32_t classes =
+              (trial % 4 < 2) ? 1 + rng() % 40 : (1u << 12) + rng() % 60000;
+          const std::uint32_t cap =
+              trial % 3 == 0 ? static_cast<std::uint32_t>(npat) : 64;
+          const std::uint32_t used =
+              1 + rng() % std::min<std::uint32_t>(classes, cap);
+          std::vector<std::uint32_t> pool(used);
+          for (auto& v : pool) v = static_cast<std::uint32_t>(rng() % classes);
+          inner[side].resize(npat);
+          for (auto& v : inner[side]) v = pool[rng() % used];
+          src[side] = ClassSource::inner(inner[side].data(), classes);
+          break;
+        }
+        case 2:  // plain tip row
+          tips[side].resize(npat);
+          for (auto& t : tips[side]) t = static_cast<DnaState>(1 + rng() % 15);
+          src[side] = ClassSource::tip(tips[side].data(), nullptr, 1);
+          break;
+        default:  // CAT tip row: the category splits equal masks
+          tips[side].resize(npat);
+          for (auto& t : tips[side]) t = static_cast<DnaState>(1 + rng() % 4);
+          src[side] = ClassSource::tip(tips[side].data(), pcat.data(), ncat);
+          break;
+      }
+    }
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> ref;
+    std::vector<std::uint32_t> want_class(npat), want_reps;
+    std::vector<RepeatCopy> want_copies;
+    for (std::size_t p = 0; p < npat; ++p) {
+      const auto [it, inserted] = ref.try_emplace(
+          {src[0].at(p), src[1].at(p)}, static_cast<std::uint32_t>(ref.size()));
+      if (inserted)
+        want_reps.push_back(static_cast<std::uint32_t>(p));
+      else
+        want_copies.push_back(
+            {static_cast<std::uint32_t>(p), want_reps[it->second]});
+      want_class[p] = it->second;
+    }
+    std::vector<std::uint32_t> class_of, reps;
+    std::vector<RepeatCopy> copies;
+    const std::uint32_t n =
+        combiner.combine(src[0], src[1], npat, &class_of, &reps, &copies);
+    ASSERT_EQ(n, ref.size()) << "trial " << trial;
+    EXPECT_EQ(class_of, want_class) << "trial " << trial;
+    EXPECT_EQ(reps, want_reps) << "trial " << trial;
+    ASSERT_EQ(copies.size(), want_copies.size()) << "trial " << trial;
+    for (std::size_t k = 0; k < copies.size(); ++k) {
+      EXPECT_EQ(copies[k].dst, want_copies[k].dst) << "trial " << trial;
+      EXPECT_EQ(copies[k].src, want_copies[k].src) << "trial " << trial;
+    }
+  }
 }
 
 TEST(Repeats, CatCategorySplitsTipClasses) {
@@ -210,6 +263,77 @@ TEST(Repeats, CrewParallelOnOffParity) {
     lnl_off = engine.evaluate(t) + engine.smooth_branches(t, 1);
   }
   EXPECT_EQ(lnl_on, lnl_off);
+}
+
+// Ordinary divergence: near the root almost every pattern is its own class,
+// so most inner records are inactive and their parents skip the combine.
+struct OrdinaryFixture {
+  OrdinaryFixture() {
+    SimConfig cfg;
+    cfg.taxa = 20;
+    cfg.distinct_sites = 300;
+    cfg.total_sites = 300;
+    cfg.seed = 91;
+    cfg.mean_branch_length = 0.12;
+    sim = simulate_alignment(cfg);
+    patterns = PatternAlignment::compress(sim.alignment);
+    gtr.freqs = patterns.empirical_frequencies();
+    Lcg rng(5);
+    start = std::make_unique<Tree>(
+        randomized_stepwise_addition(patterns, patterns.weights(), rng));
+  }
+  SimResult sim;
+  PatternAlignment patterns;
+  GtrParams gtr;
+  std::unique_ptr<Tree> start;
+};
+
+TEST(Repeats, InactiveChildMakesParentInactive) {
+  OrdinaryFixture f;
+  ScopedRepeats guard(true);
+  LikelihoodEngine engine(f.patterns, f.gtr, RateModel::gamma(0.7));
+  Tree t = *f.start;
+  // Smoothing evaluates every edge, so every directed record is built.
+  (void)engine.smooth_branches(t, 1);
+  int inherited = 0, active = 0;
+  for (const int rec : t.internal_records()) {
+    if (engine.repeat_classes(t, rec) > 0) ++active;
+    const auto [c1, c2] = t.children(rec);
+    const auto inactive = [&](int c) {
+      return !t.is_tip_record(c) && engine.repeat_classes(t, c) == 0;
+    };
+    if (inactive(c1) || inactive(c2)) {
+      ++inherited;
+      EXPECT_EQ(engine.repeat_classes(t, rec), 0u) << "record " << rec;
+    }
+  }
+  EXPECT_GT(inherited, 0);
+  EXPECT_GT(active, 0);
+}
+
+TEST(Repeats, SprSweepsAreBitwiseIdenticalOnOrOff) {
+  // Topology moves rebuild classes on every regraft; on/off must still give
+  // the same tree and the same lnL bits, for both rate models.
+  OrdinaryFixture f;
+  for (const bool cat : {false, true}) {
+    std::string newick[2];
+    std::uint64_t bits[2] = {};
+    for (const bool on : {false, true}) {
+      ScopedRepeats guard(on);
+      LikelihoodEngine engine(
+          f.patterns, f.gtr,
+          cat ? RateModel::cat(f.patterns.num_patterns())
+              : RateModel::gamma(0.7));
+      Tree t = *f.start;
+      SearchSettings settings = fast_settings();
+      settings.max_rounds = 3;
+      SprSearch search(engine, settings);
+      bits[on] = std::bit_cast<std::uint64_t>(search.run(t));
+      newick[on] = t.to_newick(f.patterns.names());
+    }
+    EXPECT_EQ(newick[0], newick[1]) << (cat ? "CAT" : "GAMMA");
+    EXPECT_EQ(bits[0], bits[1]) << (cat ? "CAT" : "GAMMA");
+  }
 }
 
 }  // namespace
