@@ -180,9 +180,13 @@ double measure_dump_ms() {
 
 // Atomic-load gate sites the comm plane adds to one 4-op ping-pong round
 // trip (send + recv on each rank, all serialized on the critical path) with
-// observability disabled. Thread channels pay the obs_block() gate in send
-// and in recv: 4. Shm rings additionally pay the send_frame ring-depth gate
-// on each send: 6. The stall-scope flag checks are plain tests of stack
+// observability disabled. Thread channels pay one obs::enabled() gate in
+// send and one in recv (it decides whether the hop is timed): 4. Shm rings
+// additionally pay the send_frame ring-depth gate on each send: 6. Not
+// gates, and not comm-plane additions: the message and byte counts send/recv
+// always book into the edge matrix are the comm's stats (they replace the
+// per-op OpStats adds that predate the plane). The untimed hop's other
+// checks (stall-scope flags, the kCollEdge test) are plain tests of stack
 // values, covered by the safety factor.
 constexpr double kCommGatesChannel = 4.0;
 constexpr double kCommGatesShm = 6.0;

@@ -19,7 +19,7 @@
 //   -m <model>   GTRCAT | GTRGAMMA (search model)     [GTRCAT-style default]
 //   --kernels=NAME  likelihood kernel family member: auto (default; best
 //                   CPUID-supported member) | scalar | generic | neon |
-//                   avx2 | avx512. RAXH_KERNELS sets the same override.
+//                   avx512. RAXH_KERNELS sets the same override.
 //   --repeats=on|off  site-repeat detection in newview  [on; bitwise-
 //                   invisible to results, off for A/B benching]
 //
@@ -124,7 +124,7 @@ void usage(const char* prog) {
       "          [--log-level=error|warn|info|debug] [--blackbox=off]\n"
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
       "          [--collectives=star|tree] [--transport=socketpair|shm]\n"
-      "          [--kernels=auto|scalar|generic|neon|avx2|avx512]\n"
+      "          [--kernels=auto|scalar|generic|neon|avx512]\n"
       "          [--repeats=on|off]\n"
       "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"

@@ -2,8 +2,7 @@
 // category count — the member every other one must match bitwise), CPUID
 // member selection, and the dispatch layer behind the public kernels.h
 // functions. SIMD members live in kernels_impl.inl, compiled once per ISA
-// (kernels_generic.cpp / kernels_avx2.cpp / kernels_avx512.cpp /
-// kernels_neon.cpp).
+// (kernels_generic.cpp / kernels_avx512.cpp / kernels_neon.cpp).
 #include "likelihood/kernels.h"
 
 #include <atomic>
@@ -275,7 +274,6 @@ const detail::KernelOps* ops_for(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kGeneric: return detail::ops_generic();
     case KernelIsa::kNeon: return detail::ops_neon();
-    case KernelIsa::kAvx2: return detail::ops_avx2();
     case KernelIsa::kAvx512: return detail::ops_avx512();
     default: return &kScalarOps;
   }
@@ -289,12 +287,6 @@ bool cpu_can_run(KernelIsa isa) {
     case KernelIsa::kNeon:
 #if defined(__aarch64__)
       return true;
-#else
-      return false;
-#endif
-    case KernelIsa::kAvx2:
-#if defined(__x86_64__) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx2") != 0;
 #else
       return false;
 #endif
@@ -379,7 +371,6 @@ const char* kernel_isa_name(KernelIsa isa) {
     case KernelIsa::kScalar: return "scalar";
     case KernelIsa::kGeneric: return "generic";
     case KernelIsa::kNeon: return "neon";
-    case KernelIsa::kAvx2: return "avx2";
     case KernelIsa::kAvx512: return "avx512";
     default: return "?";
   }

@@ -23,7 +23,7 @@
 //    representative per repeat class and copies the rest (engine.cpp).
 //
 // Kernel family: one scalar reference implementation plus SIMD members
-// (generic baseline, AVX2, AVX-512, NEON) built from a single shared source
+// (generic baseline, AVX-512, NEON) built from a single shared source
 // (kernels_impl.inl) compiled per-ISA. Every member keeps the scalar
 // operation order per lane and is compiled without FMA contraction, so all
 // members produce BITWISE-identical results on a given host — asserted by
@@ -63,13 +63,12 @@ enum class KernelIsa : int {
   kScalar = 0,  // reference loops; always available, any layout
   kGeneric,     // GCC vector extensions at the build's baseline arch
   kNeon,        // aarch64 Advanced SIMD
-  kAvx2,        // x86-64 with 256-bit vectors
   kAvx512,      // x86-64 with 512-bit vectors (F+VL)
   kCount
 };
 inline constexpr int kNumKernelIsas = static_cast<int>(KernelIsa::kCount);
 
-// Stable lowercase name ("scalar", "generic", "neon", "avx2", "avx512").
+// Stable lowercase name ("scalar", "generic", "neon", "avx512").
 [[nodiscard]] const char* kernel_isa_name(KernelIsa isa);
 
 // True if the member's translation unit was built into this binary.
@@ -91,13 +90,13 @@ bool set_kernel_isa(KernelIsa isa);
 // unparseable, or unsupported — with a one-time [WRN] in the latter cases).
 [[nodiscard]] KernelIsa kernel_isa();
 
-// Parse "scalar" | "generic" | "neon" | "avx2" | "avx512" | "auto"
+// Parse "scalar" | "generic" | "neon" | "avx512" | "auto"
 // (case-sensitive). "auto" yields best_kernel_isa(). Returns false on
 // unknown names.
 bool parse_kernel_isa(std::string_view name, KernelIsa* out);
 
 // Space-separated list of members with availability markers, e.g.
-// "scalar generic avx2 (avx512: unsupported on this cpu)" — for --help and
+// "scalar generic (neon: not compiled in) avx512" — for --help and
 // error messages.
 [[nodiscard]] std::string kernel_isa_list();
 
@@ -312,7 +311,6 @@ void note_scalar_patterns(std::size_t n);
 
 // Implemented in the per-ISA TUs; returns nullptr when not compiled in.
 [[nodiscard]] const KernelOps* ops_generic();
-[[nodiscard]] const KernelOps* ops_avx2();
 [[nodiscard]] const KernelOps* ops_avx512();
 [[nodiscard]] const KernelOps* ops_neon();
 

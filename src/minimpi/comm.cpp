@@ -1,8 +1,12 @@
 #include "minimpi/comm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <type_traits>
+#include <utility>
 
 #include "obs/comm_obs.h"
 #include "obs/flight.h"
@@ -15,181 +19,62 @@ namespace raxh::mpi {
 namespace {
 
 namespace flight = obs::flight;
+using obs::comm::kOpBarrier;
+using obs::comm::kOpBcast;
+using obs::comm::kOpGather;
+using obs::comm::kOpP2p;
+using obs::comm::kOpReduce;
 
-// Feeds the collective-latency histogram: one sample per collective call,
-// measured from entry to completion (so it includes peer wait time — the
-// coarse-grained analogue of the crew barrier wait). Sleeps injected by a
-// fault plan on this thread are subtracted: they are chaos-test artifacts,
-// not comm latency.
-struct ScopedCollectiveLatency {
-  bool armed = obs::enabled();
-  std::uint64_t start = armed ? obs::now_ns() : 0;
-  std::uint64_t synth0 = armed ? obs::synthetic_delay_ns_this_thread() : 0;
-  ~ScopedCollectiveLatency() {
-    if (!armed) return;
-    std::uint64_t dur = obs::now_ns() - start;
-    const std::uint64_t synth =
-        obs::synthetic_delay_ns_this_thread() - synth0;
-    dur -= std::min(dur, synth);
-    obs::detail::hist_add(obs::Hist::kCollectiveNs, dur);
-  }
-};
+// Comm::Stats' op fields in obs::comm's op-index order: the one place the
+// two meet.
+constexpr Comm::OpStats Comm::Stats::*kOpFields[obs::comm::kNumOps] = {
+    &Comm::Stats::p2p, &Comm::Stats::barrier, &Comm::Stats::bcast,
+    &Comm::Stats::reduce, &Comm::Stats::gather};
 
-// Flight-recorder bracket for one collective. Separate from the span/latency
-// scopes above because the recorder is always on, even with obs:: disabled.
-struct FlightCollective {
-  std::uint32_t id;
-  bool armed = flight::enabled();
-  std::uint64_t start = 0;
-  explicit FlightCollective(std::uint32_t name_id) : id(name_id) {
-    if (armed) {
-      start = obs::now_ns();
-      flight::record(flight::Kind::kCollBegin, id);
-    }
-  }
-  ~FlightCollective() {
-    if (armed)
-      flight::record(flight::Kind::kCollEnd, id, obs::now_ns() - start);
-  }
-};
+// Span and flight-recorder name of each collective op (p2p has none).
+constexpr const char* kCollNames[obs::comm::kNumOps] = {
+    nullptr, "mpi.barrier", "mpi.bcast", "mpi.allreduce", "mpi.gather"};
 
-}  // namespace
-
-Comm::~Comm() { obs::comm::retire(comm_block_); }
-
-obs::comm::Block* Comm::obs_block() {
-  if (!obs::enabled()) return nullptr;
-  if (comm_block_ == nullptr) comm_block_ = obs::comm::acquire(rank());
-  return comm_block_;
+std::uint32_t coll_flight_id(int op) {
+  static const auto ids = [] {
+    std::array<std::uint32_t, obs::comm::kNumOps> out{};
+    for (int i = kOpBarrier; i < obs::comm::kNumOps; ++i)
+      out[static_cast<std::size_t>(i)] = flight::name_id(kCollNames[i]);
+    return out;
+  }();
+  return ids[static_cast<std::size_t>(op)];
 }
 
-void Comm::note_ring_stall(int peer, std::uint64_t ns) {
-  obs::comm::record_ring_stall(obs_block(), peer, ns);
-}
-
-void Comm::note_ring_depth(int peer, std::uint64_t bytes) {
-  obs::comm::record_ring_depth(obs_block(), peer, bytes);
-}
-
-void Comm::send(int dest, int tag, const Bytes& payload) {
-  current_op_->msgs_sent += 1;
-  current_op_->bytes_sent += payload.size();
-  const bool fl = flight::enabled();
-  // Hop events are only meaningful inside a collective: one kCollEdge per
-  // send/recv lets the postmortem attribute a slow collective instance to a
-  // specific parent→child tree edge.
-  const bool edge = fl && current_op_index_ != obs::comm::kOpP2p;
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 = (ob != nullptr || edge) ? obs::now_ns() : 0;
-  if (fl)
-    flight::record(flight::Kind::kSendBegin, flight::peer_tag(dest, tag),
-                   payload.size());
-  do_send(dest, tag, payload);
-  if (fl)
-    flight::record(flight::Kind::kSendEnd, flight::peer_tag(dest, tag),
-                   payload.size());
-  if (ob != nullptr || edge) {
-    const std::uint64_t dur = obs::now_ns() - t0;
-    if (ob != nullptr)
-      obs::comm::record_send(ob, dest, current_op_index_, payload.size(), dur);
-    if (edge)
-      flight::record(flight::Kind::kCollEdge,
-                     flight::coll_edge_a(coll_seq_, current_coll_name_),
-                     flight::coll_edge_b(dest, /*recv_side=*/false, dur));
+// Decodes each gathered blob with one Unpacker getter; {} off root.
+template <typename T>
+std::vector<T> unpack_each(const std::vector<Bytes>& blobs,
+                           T (Unpacker::*get)()) {
+  std::vector<T> out;
+  out.reserve(blobs.size());
+  for (const Bytes& blob : blobs) {
+    Unpacker u(blob);
+    out.push_back((u.*get)());
   }
-}
-
-Bytes Comm::recv(int src, int tag) {
-  const bool fl = flight::enabled();
-  const bool edge = fl && current_op_index_ != obs::comm::kOpP2p;
-  obs::comm::Block* ob = obs_block();
-  // recv duration includes the wait for the sender, so a slow upstream edge
-  // (e.g. a fault-plan delay) shows up as receiver-side latency — exactly
-  // what raxh_comm's slow-edge table keys on.
-  const std::uint64_t t0 = (ob != nullptr || edge) ? obs::now_ns() : 0;
-  if (fl)
-    flight::record(flight::Kind::kRecvBegin, flight::peer_tag(src, tag));
-  Bytes payload = do_recv(src, tag);
-  if (fl)
-    flight::record(flight::Kind::kRecvEnd, flight::peer_tag(src, tag),
-                   payload.size());
-  current_op_->msgs_recv += 1;
-  current_op_->bytes_recv += payload.size();
-  if (ob != nullptr || edge) {
-    const std::uint64_t dur = obs::now_ns() - t0;
-    if (ob != nullptr)
-      obs::comm::record_recv(ob, src, current_op_index_, payload.size(), dur);
-    if (edge)
-      flight::record(flight::Kind::kCollEdge,
-                     flight::coll_edge_a(coll_seq_, current_coll_name_),
-                     flight::coll_edge_b(src, /*recv_side=*/true, dur));
-  }
-  return payload;
-}
-
-Comm::OpStats Comm::Stats::total() const {
-  OpStats sum;
-  for (const OpStats* op : {&p2p, &barrier, &bcast, &reduce, &gather}) {
-    sum.msgs_sent += op->msgs_sent;
-    sum.bytes_sent += op->bytes_sent;
-    sum.msgs_recv += op->msgs_recv;
-    sum.bytes_recv += op->bytes_recv;
-  }
-  return sum;
-}
-
-std::string Comm::Stats::to_json() const {
-  const std::pair<const char*, const OpStats*> ops[] = {
-      {"p2p", &p2p},       {"barrier", &barrier}, {"bcast", &bcast},
-      {"reduce", &reduce}, {"gather", &gather}};
-  std::string out = "\"comm\":{";
-  char buf[160];
-  for (const auto& [name, op] : ops) {
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"msgs_sent\":%llu,\"bytes_sent\":%llu,"
-                  "\"msgs_recv\":%llu,\"bytes_recv\":%llu},",
-                  name, static_cast<unsigned long long>(op->msgs_sent),
-                  static_cast<unsigned long long>(op->bytes_sent),
-                  static_cast<unsigned long long>(op->msgs_recv),
-                  static_cast<unsigned long long>(op->bytes_recv));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "\"barrier_wait_ns\":%llu,\"synthetic_delay_ns\":%llu}",
-                static_cast<unsigned long long>(barrier_wait_ns),
-                static_cast<unsigned long long>(synthetic_delay_ns));
-  out += buf;
   return out;
 }
 
-void Comm::barrier() {
-  obs::Span span("mpi.barrier");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.barrier");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.barrier, obs::comm::kOpBarrier, kFlightName);
-  const std::uint64_t wait_start = obs::now_ns();
-  const std::uint64_t synth0 = obs::synthetic_delay_ns_this_thread();
-  if (collectives_ == CollectiveAlgo::kTree)
-    barrier_dissemination();
-  else
-    barrier_star();
-  std::uint64_t waited = obs::now_ns() - wait_start;
-  const std::uint64_t synth = obs::synthetic_delay_ns_this_thread() - synth0;
-  waited -= std::min(waited, synth);  // injected sleeps are not barrier wait
-  stats_.barrier_wait_ns += waited;
-}
+// --- routing building blocks, star or tree per comm.collectives() ---
+
+constexpr int kTagBarrier = 1000000;
+constexpr int kTagBcast = 1000001;
+constexpr int kTagReduce = 1000002;
+constexpr int kTagGather = 1000003;
 
 // Central coordinator: everyone checks in with rank 0, rank 0 releases.
 // O(p) serial work on rank 0 — the pre-scale baseline.
-void Comm::barrier_star() {
+void barrier_star(Comm& comm) {
   const Bytes empty;
-  if (rank() == 0) {
-    for (int r = 1; r < size(); ++r) recv(r, kTagBarrier);
-    for (int r = 1; r < size(); ++r) send(r, kTagBarrier, empty);
+  if (comm.rank() == 0) {
+    for (int r = 1; r < comm.size(); ++r) comm.recv(r, kTagBarrier);
+    for (int r = 1; r < comm.size(); ++r) comm.send(r, kTagBarrier, empty);
   } else {
-    send(0, kTagBarrier, empty);
-    recv(0, kTagBarrier);
+    comm.send(0, kTagBarrier, empty);
+    comm.recv(0, kTagBarrier);
   }
 }
 
@@ -199,33 +84,12 @@ void Comm::barrier_star() {
 // distances are distinct powers of two below p, so each ordered pair carries
 // at most one message per barrier and per-pair FIFO keeps consecutive
 // barriers from interleaving.
-void Comm::barrier_dissemination() {
-  const int n = size();
+void barrier_dissemination(Comm& comm) {
+  const int n = comm.size();
   const Bytes empty;
   for (int dist = 1; dist < n; dist <<= 1) {
-    const int to = (rank() + dist) % n;
-    const int from = (rank() - dist + n) % n;
-    send(to, kTagBarrier, empty);
-    recv(from, kTagBarrier);
-  }
-}
-
-void Comm::bcast(Bytes& data, int root) {
-  obs::Span span("mpi.bcast");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.bcast");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.bcast, obs::comm::kOpBcast, kFlightName);
-  RAXH_EXPECTS(root >= 0 && root < size());
-  if (collectives_ == CollectiveAlgo::kTree) {
-    bcast_binomial(data, root, kTagBcast);
-    return;
-  }
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r)
-      if (r != root) send(r, kTagBcast, data);
-  } else {
-    data = recv(root, kTagBcast);
+    comm.send((comm.rank() + dist) % n, kTagBarrier, empty);
+    comm.recv((comm.rank() - dist + n) % n, kTagBarrier);
   }
 }
 
@@ -234,43 +98,45 @@ void Comm::bcast(Bytes& data, int root) {
 // lower bit. Root's serial sends drop from p-1 to ceil(log2 p) and the
 // critical path is ceil(log2 p) hops. Payload bytes are forwarded verbatim,
 // so the delivered data is bit-identical to the star path's.
-void Comm::bcast_binomial(Bytes& data, int root, int tag) {
-  const int n = size();
-  const int rr = (rank() - root + n) % n;
+void bcast_binomial(Comm& comm, Bytes& data, int root, int tag) {
+  const int n = comm.size();
+  const int rr = (comm.rank() - root + n) % n;
   int mask = 1;
   while (mask < n) {
     if ((rr & mask) != 0) {
-      const int src = ((rr & ~mask) + root) % n;
-      data = recv(src, tag);
+      data = comm.recv(((rr & ~mask) + root) % n, tag);
       break;
     }
     mask <<= 1;
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rr + mask < n) {
-      const int dst = ((rr + mask) % n + root) % n;
-      send(dst, tag, data);
-    }
-    mask >>= 1;
+  for (mask >>= 1; mask > 0; mask >>= 1)
+    if (rr + mask < n) comm.send(((rr + mask) % n + root) % n, tag, data);
+}
+
+void route_bcast(Comm& comm, Bytes& data, int root, int tag) {
+  RAXH_EXPECTS(root >= 0 && root < comm.size());
+  if (comm.collectives() == CollectiveAlgo::kTree) {
+    bcast_binomial(comm, data, root, tag);
+  } else if (comm.rank() == root) {
+    for (int r = 0; r < comm.size(); ++r)
+      if (r != root) comm.send(r, tag, data);
+  } else {
+    data = comm.recv(root, tag);
   }
 }
 
 // Star gather: every non-root rank sends its blob straight to root; root
-// receives in ascending rank order. Returns blobs indexed by rank on root,
-// {} elsewhere.
-std::vector<Bytes> Comm::star_gather(const Bytes& mine, int root, int tag) {
+// receives in ascending rank order.
+std::vector<Bytes> star_gather(Comm& comm, const Bytes& mine, int root,
+                               int tag) {
   std::vector<Bytes> out;
-  if (rank() == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(root)] = mine;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      out[static_cast<std::size_t>(r)] = recv(r, tag);
-    }
-  } else {
-    send(root, tag, mine);
+  if (comm.rank() != root) {
+    comm.send(root, tag, mine);
+    return out;
   }
+  out.resize(static_cast<std::size_t>(comm.size()));
+  for (int r = 0; r < comm.size(); ++r)
+    out[static_cast<std::size_t>(r)] = r == root ? mine : comm.recv(r, tag);
   return out;
 }
 
@@ -281,17 +147,17 @@ std::vector<Bytes> Comm::star_gather(const Bytes& mine, int root, int tag) {
 // view reduce_fold_bcast folds over, which is what keeps tree reductions
 // bit-identical to star ones (same operands, same fold order; the tree only
 // changes the routing).
-std::vector<Bytes> Comm::tree_gather(const Bytes& mine, int root, int tag) {
-  const int n = size();
-  const int rr = (rank() - root + n) % n;
+std::vector<Bytes> tree_gather(Comm& comm, const Bytes& mine, int root,
+                               int tag) {
+  const int n = comm.size();
+  const int rr = (comm.rank() - root + n) % n;
   std::vector<std::pair<int, Bytes>> entries;
-  entries.emplace_back(rank(), mine);
+  entries.emplace_back(comm.rank(), mine);
   for (int mask = 1; mask < n; mask <<= 1) {
     if ((rr & mask) == 0) {
       const int src_rr = rr | mask;
       if (src_rr >= n) continue;
-      const int src = (src_rr + root) % n;
-      const Bytes packed = recv(src, tag);
+      const Bytes packed = comm.recv((src_rr + root) % n, tag);
       Unpacker u(packed);
       const auto count = u.get<std::uint32_t>();
       for (std::uint32_t i = 0; i < count; ++i) {
@@ -299,20 +165,19 @@ std::vector<Bytes> Comm::tree_gather(const Bytes& mine, int root, int tag) {
         entries.emplace_back(r, u.get_bytes());
       }
     } else {
-      const int dst = ((rr & ~mask) + root) % n;
       Packer p;
       p.put(static_cast<std::uint32_t>(entries.size()));
       for (const auto& [r, blob] : entries) {
         p.put(static_cast<std::int32_t>(r));
         p.put_bytes(blob);
       }
-      send(dst, tag, p.bytes());
+      comm.send(((rr & ~mask) + root) % n, tag, p.bytes());
       entries.clear();
       break;
     }
   }
   std::vector<Bytes> out;
-  if (rank() == root) {
+  if (comm.rank() == root) {
     out.resize(static_cast<std::size_t>(n));
     for (auto& [r, blob] : entries)
       out[static_cast<std::size_t>(r)] = std::move(blob);
@@ -320,22 +185,224 @@ std::vector<Bytes> Comm::tree_gather(const Bytes& mine, int root, int tag) {
   return out;
 }
 
-// The reduce skeleton shared by every allreduce flavour: move per-rank
-// operand blobs to rank 0 (star or tree routing), fold them there in
-// ascending rank order, broadcast the folded result. Folding at a single
-// rank over rank-ordered operands is the reproducibility contract — FP
-// association order is identical across algorithms, backends, transports,
-// and MAXLOC ties resolve to the lowest rank.
-Bytes Comm::reduce_fold_bcast(
-    const Bytes& mine,
-    const std::function<Bytes(const std::vector<Bytes>&)>& fold) {
-  std::vector<Bytes> blobs = collectives_ == CollectiveAlgo::kTree
-                                 ? tree_gather(mine, 0, kTagReduce)
-                                 : star_gather(mine, 0, kTagReduce);
+// Every rank's blob in rank order on root, {} elsewhere.
+std::vector<Bytes> gather_blobs(Comm& comm, const Bytes& mine, int root,
+                                int tag) {
+  return comm.collectives() == CollectiveAlgo::kTree
+             ? tree_gather(comm, mine, root, tag)
+             : star_gather(comm, mine, root, tag);
+}
+
+// The allreduce body shared by every flavour: move per-rank operands to
+// rank 0 (star or tree routing), apply `fold` there to the rank-ordered
+// operands, broadcast the result. Folding at a single rank over rank-ordered
+// operands is the reproducibility contract — FP association order is
+// identical across algorithms, backends, transports, and MAXLOC ties
+// resolve to the lowest rank. A MaxLoc result travels as (value, rank),
+// field by field, never with a struct's padding bytes.
+template <typename T, typename Fold>
+auto allreduce_with(Comm& comm, T mine, Fold fold) {
+  using R = decltype(fold(std::vector<T>{}));
+  constexpr bool kMaxLoc = std::is_same_v<R, Comm::MaxLoc>;
+  Packer p;
+  p.put(mine);
+  const std::vector<Bytes> blobs = gather_blobs(comm, p.take(), 0, kTagReduce);
   Bytes result;
-  if (rank() == 0) result = fold(blobs);
-  bcast(result, 0);  // outermost ScopedOp keeps this attributed to reduce
-  return result;
+  if (comm.rank() == 0) {
+    std::vector<T> operands;
+    operands.reserve(blobs.size());
+    for (const Bytes& blob : blobs) operands.push_back(Unpacker(blob).get<T>());
+    const R folded = fold(operands);
+    Packer out;
+    if constexpr (kMaxLoc) {
+      out.put(folded.value);
+      out.put(folded.rank);
+    } else {
+      out.put(folded);
+    }
+    result = out.take();
+  }
+  route_bcast(comm, result, 0, kTagBcast);
+  Unpacker u(result);
+  if constexpr (kMaxLoc)
+    return Comm::MaxLoc{u.get<double>(), u.get<int>()};
+  else
+    return u.get<R>();
+}
+
+}  // namespace
+
+// One clock pair per outermost collective feeds every consumer. Sleeps a
+// fault plan injected on this thread are subtracted from the latency sample
+// and the barrier wait: they are chaos-test artifacts, not comm time.
+class Comm::CollectiveScope {
+ public:
+  CollectiveScope(Comm& comm, int op)
+      : comm_(comm), outermost_(comm.coll_op_ == kOpP2p) {
+    if (!outermost_) return;
+    comm_.coll_op_ = op;
+    ++comm_.coll_seq_;
+    obs_ = obs::enabled();
+    flight_ = flight::enabled();
+    start_ = obs::now_ns();
+    synth0_ = obs::synthetic_delay_ns_this_thread();
+    if (flight_) flight::record(flight::Kind::kCollBegin, coll_flight_id(op));
+  }
+  ~CollectiveScope() {
+    if (!outermost_) return;
+    const int op = std::exchange(comm_.coll_op_, kOpP2p);
+    const std::uint64_t dur = obs::now_ns() - start_;
+    const std::uint64_t synth =
+        obs::synthetic_delay_ns_this_thread() - synth0_;
+    const std::uint64_t net = dur - std::min(dur, synth);
+    if (flight_)
+      flight::record(flight::Kind::kCollEnd, coll_flight_id(op), dur);
+    if (obs_) {
+      obs::record_span(kCollNames[op], start_, dur);
+      obs::detail::hist_add(obs::Hist::kCollectiveNs, net);
+    }
+    if (op == kOpBarrier) comm_.barrier_wait_ns_ += net;
+  }
+  CollectiveScope(const CollectiveScope&) = delete;
+  CollectiveScope& operator=(const CollectiveScope&) = delete;
+
+ private:
+  Comm& comm_;
+  bool outermost_;
+  bool obs_ = false;
+  bool flight_ = false;
+  std::uint64_t start_ = 0;
+  std::uint64_t synth0_ = 0;
+};
+
+Comm::~Comm() { obs::comm::retire(comm_block_); }
+
+obs::comm::Block* Comm::block() {
+  if (comm_block_ == nullptr) comm_block_ = obs::comm::acquire(rank());
+  return comm_block_;
+}
+
+void Comm::note_ring_stall(int peer, std::uint64_t ns) {
+  obs::comm::record_ring_stall(block(), peer, ns);
+}
+
+void Comm::note_ring_depth(int peer, std::uint64_t bytes) {
+  obs::comm::record_ring_depth(block(), peer, bytes);
+}
+
+void Comm::record_hop(int peer, bool recv_side, std::uint64_t bytes,
+                      bool timed, std::uint64_t t0) {
+  // Hop events are only meaningful inside a collective: one kCollEdge per
+  // send/recv lets the postmortem attribute a slow collective instance to a
+  // specific parent->child tree edge.
+  const bool edge = t0 != 0 && coll_op_ != kOpP2p && flight::enabled();
+  const std::uint64_t dur = t0 != 0 ? obs::now_ns() - t0 : 0;
+  obs::comm::record_message(block(), peer, coll_op_, recv_side, bytes, timed,
+                            dur);
+  if (edge)
+    flight::record(flight::Kind::kCollEdge,
+                   flight::coll_edge_a(coll_seq_, coll_flight_id(coll_op_)),
+                   flight::coll_edge_b(peer, recv_side, dur));
+}
+
+// The hop clock runs when obs is on (send_ns/recv_ns) or when the flight
+// recorder will stamp a kCollEdge; 0 means it was not read.
+std::uint64_t Comm::hop_start(bool timed, bool fl) const {
+  return timed || (fl && coll_op_ != kOpP2p) ? obs::now_ns() : 0;
+}
+
+void Comm::send(int dest, int tag, const Bytes& payload) {
+  const bool fl = flight::enabled();
+  const bool timed = obs::enabled();
+  const std::uint64_t t0 = hop_start(timed, fl);
+  if (fl)
+    flight::record(flight::Kind::kSendBegin, flight::peer_tag(dest, tag),
+                   payload.size());
+  do_send(dest, tag, payload);
+  if (fl)
+    flight::record(flight::Kind::kSendEnd, flight::peer_tag(dest, tag),
+                   payload.size());
+  record_hop(dest, /*recv_side=*/false, payload.size(), timed, t0);
+}
+
+Bytes Comm::recv(int src, int tag) {
+  const bool fl = flight::enabled();
+  const bool timed = obs::enabled();
+  // recv duration includes the wait for the sender, so a slow upstream edge
+  // (e.g. a fault-plan delay) shows up as receiver-side latency — exactly
+  // what raxh_comm's slow-edge table keys on.
+  const std::uint64_t t0 = hop_start(timed, fl);
+  if (fl)
+    flight::record(flight::Kind::kRecvBegin, flight::peer_tag(src, tag));
+  Bytes payload = do_recv(src, tag);
+  if (fl)
+    flight::record(flight::Kind::kRecvEnd, flight::peer_tag(src, tag),
+                   payload.size());
+  record_hop(src, /*recv_side=*/true, payload.size(), timed, t0);
+  return payload;
+}
+
+Comm::Stats Comm::stats() const {
+  const obs::comm::BlockTotals t = obs::comm::totals(comm_block_);
+  Stats s;
+  for (int op = 0; op < obs::comm::kNumOps; ++op) {
+    const obs::comm::EdgeTotals& e = t.per_op[static_cast<std::size_t>(op)];
+    s.*kOpFields[op] =
+        OpStats{e.msgs_sent, e.bytes_sent, e.msgs_recv, e.bytes_recv};
+  }
+  s.barrier_wait_ns = barrier_wait_ns_;
+  s.synthetic_delay_ns = synthetic_delay_ns_;
+  return s;
+}
+
+Comm::OpStats Comm::Stats::total() const {
+  OpStats sum;
+  for (const auto field : kOpFields) {
+    const OpStats& op = this->*field;
+    sum.msgs_sent += op.msgs_sent;
+    sum.bytes_sent += op.bytes_sent;
+    sum.msgs_recv += op.msgs_recv;
+    sum.bytes_recv += op.bytes_recv;
+  }
+  return sum;
+}
+
+std::string Comm::Stats::to_json() const {
+  std::string out = "\"comm\":{";
+  char buf[160];
+  for (int i = 0; i < obs::comm::kNumOps; ++i) {
+    const OpStats& op = this->*kOpFields[i];
+    std::snprintf(buf, sizeof(buf),
+                  "\"%s\":{\"msgs_sent\":%llu,\"bytes_sent\":%llu,"
+                  "\"msgs_recv\":%llu,\"bytes_recv\":%llu},",
+                  obs::comm::op_name(i),
+                  static_cast<unsigned long long>(op.msgs_sent),
+                  static_cast<unsigned long long>(op.bytes_sent),
+                  static_cast<unsigned long long>(op.msgs_recv),
+                  static_cast<unsigned long long>(op.bytes_recv));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf),
+                "\"barrier_wait_ns\":%llu,\"synthetic_delay_ns\":%llu}",
+                static_cast<unsigned long long>(barrier_wait_ns),
+                static_cast<unsigned long long>(synthetic_delay_ns));
+  out += buf;
+  return out;
+}
+
+// --- collectives: each opens one CollectiveScope, then routes ---
+
+void Comm::barrier() {
+  CollectiveScope scope(*this, kOpBarrier);
+  if (collectives_ == CollectiveAlgo::kTree)
+    barrier_dissemination(*this);
+  else
+    barrier_star(*this);
+}
+
+void Comm::bcast(Bytes& data, int root) {
+  CollectiveScope scope(*this, kOpBcast);
+  route_bcast(*this, data, root, kTagBcast);
 }
 
 void Comm::bcast_string(std::string& data, int root) {
@@ -344,155 +411,55 @@ void Comm::bcast_string(std::string& data, int root) {
   data.assign(bytes.begin(), bytes.end());
 }
 
+// The folds scan operands in ascending rank order, seeded with rank 0's.
+
 Comm::MaxLoc Comm::allreduce_maxloc(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
-  const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        MaxLoc best{u0.get<double>(), 0};
-        // Strict > with ascending rank order: ties go to the lowest rank.
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          const double v = u.get<double>();
-          if (v > best.value) best = MaxLoc{v, static_cast<int>(r)};
-        }
-        Packer out;
-        out.put(best.value);
-        out.put(best.rank);
-        return out.take();
-      });
-  Unpacker u(result);
-  MaxLoc best{};
-  best.value = u.get<double>();
-  best.rank = u.get<int>();
-  return best;
+  CollectiveScope scope(*this, kOpReduce);
+  return allreduce_with(*this, value, [](const std::vector<double>& v) {
+    // max_element keeps the first maximum: ties go to the lowest rank.
+    const auto best = std::max_element(v.begin(), v.end());
+    return MaxLoc{*best, static_cast<int>(best - v.begin())};
+  });
 }
 
 double Comm::allreduce_sum(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
-  const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        double total = u0.get<double>();  // seed with rank 0's operand (not
-                                          // 0.0: preserves -0.0 semantics)
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          total += u.get<double>();
-        }
-        Packer out;
-        out.put(total);
-        return out.take();
-      });
-  Unpacker u(result);
-  return u.get<double>();
+  CollectiveScope scope(*this, kOpReduce);
+  // Seeded with rank 0's operand, not 0.0: preserves -0.0 semantics.
+  return allreduce_with(*this, value, [](const std::vector<double>& v) {
+    return std::accumulate(v.begin() + 1, v.end(), v.front());
+  });
 }
 
 double Comm::allreduce_max(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
-  const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        double best = u0.get<double>();
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          best = std::max(best, u.get<double>());
-        }
-        Packer out;
-        out.put(best);
-        return out.take();
-      });
-  Unpacker u(result);
-  return u.get<double>();
+  CollectiveScope scope(*this, kOpReduce);
+  return allreduce_with(*this, value, [](const std::vector<double>& v) {
+    return *std::max_element(v.begin(), v.end());
+  });
 }
 
 long Comm::allreduce_sum_long(long value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
-  const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        long total = u0.get<long>();
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          total += u.get<long>();
-        }
-        Packer out;
-        out.put(total);
-        return out.take();
-      });
-  Unpacker u(result);
-  return u.get<long>();
+  CollectiveScope scope(*this, kOpReduce);
+  return allreduce_with(*this, value, [](const std::vector<long>& v) {
+    return std::accumulate(v.begin() + 1, v.end(), v.front());
+  });
 }
 
 std::vector<std::vector<double>> Comm::gather_doubles(
     const std::vector<double>& mine, int root) {
-  obs::Span span("mpi.gather");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.gather");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.gather, obs::comm::kOpGather, kFlightName);
+  CollectiveScope scope(*this, kOpGather);
   Packer p;
   p.put_doubles(mine);
-  const std::vector<Bytes> blobs =
-      collectives_ == CollectiveAlgo::kTree
-          ? tree_gather(p.take(), root, kTagGather)
-          : star_gather(p.take(), root, kTagGather);
-  std::vector<std::vector<double>> out;
-  if (rank() == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      Unpacker u(blobs[static_cast<std::size_t>(r)]);
-      out[static_cast<std::size_t>(r)] = u.get_doubles();
-    }
-  }
-  return out;
+  return unpack_each(gather_blobs(*this, p.take(), root, kTagGather),
+                     &Unpacker::get_doubles);
 }
 
 std::vector<std::string> Comm::gather_strings(const std::string& mine,
                                               int root) {
-  obs::Span span("mpi.gather");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.gather");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.gather, obs::comm::kOpGather, kFlightName);
+  CollectiveScope scope(*this, kOpGather);
   Packer p;
   p.put_string(mine);
-  const std::vector<Bytes> blobs =
-      collectives_ == CollectiveAlgo::kTree
-          ? tree_gather(p.take(), root, kTagGather)
-          : star_gather(p.take(), root, kTagGather);
-  std::vector<std::string> out;
-  if (rank() == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      Unpacker u(blobs[static_cast<std::size_t>(r)]);
-      out[static_cast<std::size_t>(r)] = u.get_string();
-    }
-  }
-  return out;
+  return unpack_each(gather_blobs(*this, p.take(), root, kTagGather),
+                     &Unpacker::get_string);
 }
 
 // --- nonblocking point-to-point ---
@@ -501,28 +468,25 @@ Comm::Request Comm::isend(int dest, int tag, const Bytes& payload) {
   // Eager completion into the transport's buffering (see comm.h): by the
   // time send() returns the message is queued, so the request is done.
   Request req;
-  req.is_recv_ = false;
   req.peer_ = dest;
   req.tag_ = tag;
-  const bool fl = flight::enabled();
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 = (ob != nullptr || fl) ? obs::now_ns() : 0;
-  if (fl)
+  const bool timed = obs::enabled();
+  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+  if (flight::enabled())
     flight::record(flight::Kind::kReqPost, flight::peer_tag(dest, tag),
                    /*is_recv=*/0);
   send(dest, tag, payload);
   // Eager sends are in flight exactly as long as the caller is blocked in
   // them, so they honestly contribute zero overlap.
-  if (ob != nullptr) {
+  if (timed) {
     const std::uint64_t dur = obs::now_ns() - t0;
-    obs::comm::record_request(ob, /*completed_by_test=*/false, dur, dur);
+    obs::comm::record_request(block(), /*completed_by_test=*/false, dur, dur);
   }
   return req;
 }
 
 Comm::Request Comm::irecv(int src, int tag) {
   Request req;
-  req.is_recv_ = true;
   req.done_ = false;
   req.peer_ = src;
   req.tag_ = tag;
@@ -534,52 +498,40 @@ Comm::Request Comm::irecv(int src, int tag) {
   return req;
 }
 
+void Comm::complete_recv(Request& req, bool by_test) {
+  // The recv below is the normal counted path, so Stats and flight events
+  // are identical whether a message arrives via recv, wait, or a test that
+  // completed it.
+  const bool fl = flight::enabled();
+  const bool timed = obs::enabled();
+  const bool booked = (timed || fl) && req.posted_ns_ != 0;
+  const std::uint64_t t0 = booked ? obs::now_ns() : 0;
+  req.payload_ = recv(req.peer_, req.tag_);
+  req.done_ = true;
+  if (!booked) return;
+  const std::uint64_t now = obs::now_ns();
+  if (timed)
+    obs::comm::record_request(block(), by_test, now - req.posted_ns_,
+                              now - t0);
+  if (fl)
+    flight::record(
+        by_test ? flight::Kind::kReqTestOk : flight::Kind::kReqWaitDone,
+        flight::peer_tag(req.peer_, req.tag_),
+        by_test ? now - req.posted_ns_ : now - t0);
+  req.posted_ns_ = 0;
+}
+
 bool Comm::test(Request& req) {
   if (req.done_) return true;
   // do_probe is per-source: it reports a message (or the peer's death)
-  // observable on src's channel. The recv below is the normal counted path,
-  // so Stats and flight events are identical whether a message arrives via
-  // recv, wait, or a test that completed it.
+  // observable on src's channel.
   if (!do_probe(req.peer_)) return false;
-  const bool fl = flight::enabled();
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 =
-      ((ob != nullptr || fl) && req.posted_ns_ != 0) ? obs::now_ns() : 0;
-  req.payload_ = recv(req.peer_, req.tag_);
-  req.done_ = true;
-  if (t0 != 0) {
-    const std::uint64_t now = obs::now_ns();
-    if (ob != nullptr)
-      obs::comm::record_request(ob, /*completed_by_test=*/true,
-                                now - req.posted_ns_, now - t0);
-    if (fl)
-      flight::record(flight::Kind::kReqTestOk,
-                     flight::peer_tag(req.peer_, req.tag_),
-                     now - req.posted_ns_);
-    req.posted_ns_ = 0;
-  }
+  complete_recv(req, /*by_test=*/true);
   return true;
 }
 
 Bytes Comm::wait(Request& req) {
-  if (!req.done_) {
-    const bool fl = flight::enabled();
-    obs::comm::Block* ob = obs_block();
-    const std::uint64_t t0 =
-        ((ob != nullptr || fl) && req.posted_ns_ != 0) ? obs::now_ns() : 0;
-    req.payload_ = recv(req.peer_, req.tag_);
-    req.done_ = true;
-    if (t0 != 0) {
-      const std::uint64_t now = obs::now_ns();
-      if (ob != nullptr)
-        obs::comm::record_request(ob, /*completed_by_test=*/false,
-                                  now - req.posted_ns_, now - t0);
-      if (fl)
-        flight::record(flight::Kind::kReqWaitDone,
-                       flight::peer_tag(req.peer_, req.tag_), now - t0);
-      req.posted_ns_ = 0;
-    }
-  }
+  if (!req.done_) complete_recv(req, /*by_test=*/false);
   return std::move(req.payload_);
 }
 
@@ -600,30 +552,44 @@ void Packer::put_bytes(const Bytes& b) {
   data_.insert(data_.end(), b.begin(), b.end());
 }
 
+void Unpacker::need(std::uint64_t count, std::size_t item_bytes) const {
+  const std::size_t left = data_->size() - offset_;
+  const bool fits = count <= left / item_bytes;  // no count * size overflow
+  if (source_ == Source::kMesh) RAXH_EXPECTS(fits);
+  if (!fits)
+    throw std::runtime_error(
+        "truncated payload: " + std::to_string(count) + " item(s) of " +
+        std::to_string(item_bytes) + " byte(s) claimed, " +
+        std::to_string(left) + " left");
+}
+
 void Unpacker::read(std::uint8_t* out, std::size_t n) {
+  need(n, 1);
   // An empty container's data() may be null, and memcpy must not see it.
   if (n == 0) return;
-  RAXH_EXPECTS(offset_ + n <= data_->size());
   std::memcpy(out, data_->data() + offset_, n);
   offset_ += n;
 }
 
 std::string Unpacker::get_string() {
-  const auto n = static_cast<std::size_t>(get<std::uint64_t>());
+  const auto n = get<std::uint64_t>();
+  need(n, 1);
   std::string s(n, '\0');
   read(reinterpret_cast<std::uint8_t*>(s.data()), n);
   return s;
 }
 
 std::vector<double> Unpacker::get_doubles() {
-  const auto n = static_cast<std::size_t>(get<std::uint64_t>());
+  const auto n = get<std::uint64_t>();
+  need(n, sizeof(double));
   std::vector<double> v(n);
   read(reinterpret_cast<std::uint8_t*>(v.data()), n * sizeof(double));
   return v;
 }
 
 Bytes Unpacker::get_bytes() {
-  const auto n = static_cast<std::size_t>(get<std::uint64_t>());
+  const auto n = get<std::uint64_t>();
+  need(n, 1);
   Bytes b(n);
   read(b.data(), n);
   return b;

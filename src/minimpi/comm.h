@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "util/check.h"
-
 namespace raxh::obs::comm {
 struct Block;  // comm-plane accumulation block (obs/comm_obs.h)
 }  // namespace raxh::obs::comm
@@ -115,14 +113,10 @@ class Comm {
     [[nodiscard]] OpStats total() const;
     [[nodiscard]] std::string to_json() const;  // {"comm":{...}} section
   };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  // Resetting while a collective is in flight would zero the OpStats its
-  // ScopedOp still targets and silently mis-attribute the rest of that
-  // collective, so it is a contract violation (asserted), not a rebind.
-  void reset_stats() {
-    RAXH_EXPECTS(active_scoped_ops_ == 0);
-    stats_ = Stats{};
-  }
+  // A view, not a second count: the op fields are the per-op sums over peers
+  // of this comm's edge matrix (comm_matrix()), which is where send/recv
+  // record; the two timing fields are kept by the comm itself.
+  [[nodiscard]] Stats stats() const;
 
   // Collective algorithm selection; run_*_ranks applies CommOptions, and
   // decorators copy the inner comm's choice. Switch only between
@@ -149,12 +143,10 @@ class Comm {
    public:
     Request() = default;
     [[nodiscard]] bool done() const { return done_; }
-    [[nodiscard]] int peer() const { return peer_; }
     [[nodiscard]] const Bytes& payload() const { return payload_; }
 
    private:
     friend class Comm;
-    bool is_recv_ = false;
     bool done_ = true;
     int peer_ = -1;
     int tag_ = 0;
@@ -201,9 +193,9 @@ class Comm {
   virtual void fault_tick() {}
 
   // --- comm-plane observability (obs/comm_obs.h) ---
-  // The per-(peer, op) edge matrix this comm accumulates into while
-  // obs::enabled(); nullptr until the first enabled record. Tests reconcile
-  // obs::comm::totals(comm_matrix()) against stats().
+  // The per-(peer, op) edge matrix that stores this comm's traffic: msgs and
+  // bytes always, send/recv ns only while obs::enabled(). nullptr until the
+  // first counted send or recv (or ring gauge sample).
   [[nodiscard]] const obs::comm::Block* comm_matrix() const {
     return comm_block_;
   }
@@ -244,84 +236,37 @@ class Comm {
   }
 
   // Fault decorators report their injected sleeps (see Stats above).
-  void note_synthetic_delay_ns(std::uint64_t ns) {
-    stats_.synthetic_delay_ns += ns;
-  }
-
-  static constexpr int kTagBarrier = 1000000;
-  static constexpr int kTagBcast = 1000001;
-  static constexpr int kTagReduce = 1000002;
-  static constexpr int kTagGather = 1000003;
+  void note_synthetic_delay_ns(std::uint64_t ns) { synthetic_delay_ns_ += ns; }
 
  private:
-  // Scoped attribution: routes send/recv counts to one collective's OpStats.
-  // Outermost-wins, so nested collectives keep the caller's attribution.
-  // The depth count is what lets reset_stats() reject a reset while any
-  // collective is still in flight.
-  class ScopedOp {
-   public:
-    // op_index is the obs::comm:: op slot matching `op` (kOpBarrier, ...);
-    // flight_name the interned collective name for kCollEdge hop events.
-    // When outermost, the constructor also bumps the per-comm collective
-    // sequence number so one collective call's hops share an instance id.
-    ScopedOp(Comm& comm, OpStats& op, int op_index, std::uint32_t flight_name)
-        : comm_(comm),
-          saved_(comm.current_op_),
-          saved_index_(comm.current_op_index_),
-          saved_name_(comm.current_coll_name_) {
-      if (comm_.current_op_ == &comm_.stats_.p2p) {
-        comm_.current_op_ = &op;
-        comm_.current_op_index_ = op_index;
-        comm_.current_coll_name_ = flight_name;
-        ++comm_.coll_seq_;
-      }
-      ++comm_.active_scoped_ops_;
-    }
-    ~ScopedOp() {
-      --comm_.active_scoped_ops_;
-      comm_.current_op_ = saved_;
-      comm_.current_op_index_ = saved_index_;
-      comm_.current_coll_name_ = saved_name_;
-    }
+  // The one scope each collective entry point opens (comm.cpp): it
+  // attributes the call's send/recv hops to its op, and on exit records its
+  // span, flight kCollBegin/kCollEnd bracket, kCollectiveNs sample and (for
+  // barrier) barrier wait. Only the outermost scope records, so a collective
+  // built on another one counts once.
+  class CollectiveScope;
 
-   private:
-    Comm& comm_;
-    OpStats* saved_;
-    int saved_index_;
-    std::uint32_t saved_name_;
-  };
+  // This comm's edge matrix, acquired on first use (rank must be known).
+  obs::comm::Block* block();
+  // send()/recv()'s shared bookkeeping (comm.cpp): the hop clock, and the
+  // one function that books a message in the matrix and the flight ring.
+  [[nodiscard]] std::uint64_t hop_start(bool timed, bool fl) const;
+  void record_hop(int peer, bool recv_side, std::uint64_t bytes, bool timed,
+                  std::uint64_t t0);
+  // Performs the pending receive of an irecv request and books its
+  // completion (overlap accounting + flight event) for test() or wait().
+  void complete_recv(Request& req, bool by_test);
 
-  // Lazily acquires this comm's obs::comm block (rank must be known). Null
-  // while obs is disabled — the hot path stays one relaxed load + branch.
-  obs::comm::Block* obs_block();
-
-  // Tree-algorithm building blocks (comm.cpp). tree_gather moves every
-  // rank's blob to root up a binomial tree and returns them in rank order
-  // on root ({} elsewhere) — reduces fold over that order, which is what
-  // keeps tree results bit-identical to star's.
-  void barrier_star();
-  void barrier_dissemination();
-  void bcast_binomial(Bytes& data, int root, int tag);
-  std::vector<Bytes> tree_gather(const Bytes& mine, int root, int tag);
-  std::vector<Bytes> star_gather(const Bytes& mine, int root, int tag);
-  // Shared reduce skeleton: gather per-rank operand blobs (star or tree),
-  // fold on rank 0 in rank order, broadcast the folded result.
-  Bytes reduce_fold_bcast(
-      const Bytes& mine,
-      const std::function<Bytes(const std::vector<Bytes>&)>& fold);
-
-  Stats stats_;
-  OpStats* current_op_ = &stats_.p2p;
-  int active_scoped_ops_ = 0;
   CollectiveAlgo collectives_ = CollectiveAlgo::kTree;
-  // Comm-plane accumulation (obs/comm_obs.h): acquired on first enabled
-  // record, retired by ~Comm. The index/name pair mirrors current_op_ for
-  // the per-edge matrix and kCollEdge attribution; coll_seq_ counts
-  // outermost collectives so hops of one call share an instance id.
+  // Traffic store (obs/comm_obs.h): acquired on first counted hop, retired
+  // by ~Comm. coll_op_ is the obs::comm op index hops are booked under
+  // (kOpP2p outside collectives); coll_seq_ counts outermost collectives so
+  // the kCollEdge hops of one call share an instance id.
   obs::comm::Block* comm_block_ = nullptr;
-  int current_op_index_ = 0;
-  std::uint32_t current_coll_name_ = 0;
+  int coll_op_ = 0;
   std::uint32_t coll_seq_ = 0;
+  std::uint64_t barrier_wait_ns_ = 0;
+  std::uint64_t synthetic_delay_ns_ = 0;
 };
 
 // --- serialization helpers for payloads ---
@@ -347,7 +292,15 @@ class Packer {
 
 class Unpacker {
  public:
-  explicit Unpacker(const Bytes& data) : data_(&data) {}
+  // Where the bytes came from decides what a short payload means. kMesh:
+  // this program's own ranks packed it, so reading past the end is a
+  // protocol bug and aborts as a contract failure. kWire: it came off a
+  // socket (raxhd frames), so it is untrusted input and throws
+  // std::runtime_error. Either way every claimed length is checked against
+  // the bytes that remain before anything is allocated for it.
+  enum class Source { kMesh, kWire };
+  explicit Unpacker(const Bytes& data, Source source = Source::kMesh)
+      : data_(&data), source_(source) {}
 
   template <typename T>
   T get() {
@@ -363,9 +316,12 @@ class Unpacker {
   [[nodiscard]] bool exhausted() const { return offset_ == data_->size(); }
 
  private:
+  // Fails (as source_ says) unless `count` items of `item_bytes` remain.
+  void need(std::uint64_t count, std::size_t item_bytes) const;
   void read(std::uint8_t* out, std::size_t n);
 
   const Bytes* data_;
+  Source source_;
   std::size_t offset_ = 0;
 };
 

@@ -15,7 +15,7 @@ namespace raxh::obs::comm {
 
 namespace {
 
-// Edge slot layout inside a block (see record_send/record_recv).
+// Edge slot layout inside a block (see record_message).
 constexpr int kMsgsSent = 0;
 constexpr int kBytesSent = 1;
 constexpr int kSendNs = 2;
@@ -170,37 +170,24 @@ void retire(Block* block) {
   delete block;
 }
 
-void record_send(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns) {
-  if (block == nullptr) return;
+void record_message(Block* block, int peer, int op, bool recv,
+                    std::uint64_t bytes, bool timed, std::uint64_t ns) {
   auto& e = block->edges[clamp_peer(block, peer)][op];
-  add_relaxed(e[kMsgsSent], 1);
-  add_relaxed(e[kBytesSent], bytes);
-  add_relaxed(e[kSendNs], ns);
-  count(Counter::kCommBytesSent, bytes);
-}
-
-void record_recv(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns) {
-  if (block == nullptr) return;
-  auto& e = block->edges[clamp_peer(block, peer)][op];
-  add_relaxed(e[kMsgsRecv], 1);
-  add_relaxed(e[kBytesRecv], bytes);
-  add_relaxed(e[kRecvNs], ns);
-  count(Counter::kCommBytesRecv, bytes);
+  const int base = recv ? kMsgsRecv : kMsgsSent;  // msgs, bytes, ns follow
+  add_relaxed(e[base], 1);
+  add_relaxed(e[base + 1], bytes);
+  if (!timed) return;
+  add_relaxed(e[base + 2], ns);
+  count(recv ? Counter::kCommBytesRecv : Counter::kCommBytesSent, bytes);
 }
 
 void record_ring_stall(Block* block, int peer, std::uint64_t ns) {
-  if (block == nullptr) return;
   auto& r = block->rings[clamp_peer(block, peer)];
   add_relaxed(r[kStalls], 1);
   add_relaxed(r[kStalledNs], ns);
-  count(Counter::kCommRingStalls, 1);
-  count(Counter::kCommRingStallNs, ns);
 }
 
 void record_ring_depth(Block* block, int peer, std::uint64_t bytes) {
-  if (block == nullptr) return;
   auto& hwm = block->rings[clamp_peer(block, peer)][kHwmBytes];
   if (bytes > hwm.load(std::memory_order_relaxed))
     hwm.store(bytes, std::memory_order_relaxed);
@@ -208,7 +195,6 @@ void record_ring_depth(Block* block, int peer, std::uint64_t bytes) {
 
 void record_request(Block* block, bool completed_by_test,
                     std::uint64_t inflight_ns, std::uint64_t blocked_ns) {
-  if (block == nullptr) return;
   add_relaxed(block->overlap[kReqs], 1);
   add_relaxed(block->overlap[completed_by_test ? kReqTest : kReqWait], 1);
   add_relaxed(block->overlap[kReqInflightNs], inflight_ns);
@@ -250,7 +236,6 @@ BlockTotals totals(const Block* block) {
       t.bytes_recv += e.bytes_recv;
       t.recv_ns += e.recv_ns;
     }
-  out.overlap = plain.overlap;
   return out;
 }
 
@@ -298,10 +283,8 @@ Snapshot snapshot_filtered(bool all_ranks, int only_rank) {
 
 Snapshot snapshot() { return snapshot_filtered(true, -1); }
 
-Snapshot snapshot_for_rank(int rank) { return snapshot_filtered(false, rank); }
-
 std::string to_json_section(int rank) {
-  const Snapshot snap = snapshot_for_rank(rank);
+  const Snapshot snap = snapshot_filtered(false, rank);
   std::string out = "\"comm_matrix\":{\"edges\":[";
   char buf[320];
   bool first = true;

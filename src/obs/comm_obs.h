@@ -1,21 +1,27 @@
 // Communication observability plane: per-rank (peer, op) edge matrices,
 // shm-ring backpressure gauges, and nonblocking-request overlap accounting.
 //
-// minimpi's counted send()/recv() layer calls record_send/record_recv at the
-// exact sites that bump Comm::Stats, so a block's per-op byte/message totals
-// reconcile *exactly* with the per-op CommStats — raxh_comm asserts that
-// equality offline and tests assert it in-process. Accumulation follows the
-// hist.cpp idiom: each Comm owns a padded block of relaxed atomics written
-// only by the communicating thread; snapshots read them from any thread.
+// The edge matrix is the store of a Comm's traffic, not a copy of it:
+// minimpi's counted send()/recv() layer books every message here through
+// record_message, and Comm::stats() is the per-op sum of its block over
+// peers. The per-op CommStats in --metrics-out are therefore derived from
+// the same counts as the "comm_matrix" section; raxh_comm still checks that
+// they reconcile exactly offline. Accumulation follows the hist.cpp idiom:
+// each Comm owns a padded block of relaxed atomics written only by the
+// communicating thread; snapshots read them from any thread.
 //
 // Layering: this header is part of raxh_obs, which minimpi links — so it
 // must not include minimpi headers. The (peer, op) convention is defined
-// here and minimpi translates into it (op indices match the declaration
-// order of Comm::Stats: p2p, barrier, bcast, reduce, gather).
+// here; minimpi maps Comm::Stats' op fields onto these indices in one table
+// (kOpFields in minimpi/comm.cpp).
 //
-// Everything here is gated on obs::enabled() by the callers: with
-// observability off the comm plane costs minimpi one relaxed load + branch
-// per send/recv (bench_obs_overhead's comm mode enforces the <2% budget).
+// Messages and bytes are booked whatever obs::enabled() says (they are the
+// Comm's stats). Everything that costs a clock read or a gauge update —
+// send/recv ns, the byte counters, ring stalls and depth, request overlap —
+// is gated on obs::enabled() by the callers: with observability off the
+// comm plane costs minimpi one relaxed load + branch per send/recv beyond
+// the message count itself (bench_obs_overhead's comm mode enforces the
+// <2% budget).
 #pragma once
 
 #include <array>
@@ -31,7 +37,7 @@ namespace raxh::obs::comm {
 // paper tops out at far fewer ranks).
 inline constexpr int kMaxPeers = 64;
 
-// Op indices, matching Comm::Stats declaration order.
+// Op indices (Comm::Stats maps its op fields onto these).
 inline constexpr int kOpP2p = 0;
 inline constexpr int kOpBarrier = 1;
 inline constexpr int kOpBcast = 2;
@@ -46,17 +52,18 @@ inline constexpr int kNumOps = 5;
 struct Block;
 
 // Allocate + register a block for `rank` (minimpi calls this lazily on the
-// first enabled record of a Comm). retire() folds the block's content into
+// first counted message of a Comm). retire() folds the block's content into
 // a process-wide retired aggregate and frees it — a Comm's traffic stays
 // visible in snapshot() after the Comm is destroyed.
 [[nodiscard]] Block* acquire(int rank);
 void retire(Block* block);
 
-// --- hot-path hooks (null-safe; relaxed owner-thread writes) ---
-void record_send(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns);
-void record_recv(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns);
+// --- hot-path hooks (block non-null; relaxed owner-thread writes) ---
+// One message through the counted send()/recv() layer: msgs and bytes
+// always; the send/recv ns and the kCommBytesSent/Recv counters only when
+// `timed` (obs::enabled() when the hop started).
+void record_message(Block* block, int peer, int op, bool recv,
+                    std::uint64_t bytes, bool timed, std::uint64_t ns);
 // One completed full-ring stall episode on the send path to `peer`.
 void record_ring_stall(Block* block, int peer, std::uint64_t ns);
 // Post-send occupancy sample of the ring to `peer`; keeps the high-water mark.
@@ -99,11 +106,10 @@ struct OverlapTotals {
   [[nodiscard]] double overlap_ratio() const;
 };
 
-// Per-op totals of one live block (tests reconcile these against the owning
-// Comm's Stats). Null block → zeros.
+// Per-op totals of one live block (Comm::stats() is built from these).
+// Null block → zeros.
 struct BlockTotals {
   std::array<EdgeTotals, kNumOps> per_op;
-  OverlapTotals overlap;
 };
 [[nodiscard]] BlockTotals totals(const Block* block);
 
@@ -133,7 +139,6 @@ struct Snapshot {
   int stalled_now = 0;
 };
 [[nodiscard]] Snapshot snapshot();
-[[nodiscard]] Snapshot snapshot_for_rank(int rank);
 
 // This rank's matrix as a pre-rendered metrics section
 // ("comm_matrix":{...}), appended after Comm::Stats::to_json() in the

@@ -193,10 +193,6 @@ const char* counter_name(Counter c) {
       return "comm_bytes_sent";
     case Counter::kCommBytesRecv:
       return "comm_bytes_recv";
-    case Counter::kCommRingStalls:
-      return "comm_ring_stalls";
-    case Counter::kCommRingStallNs:
-      return "comm_ring_stall_ns";
     case Counter::kKernelFallback:
       return "kernel_fallbacks";
     case Counter::kRepeatPatternsComputed:

@@ -81,8 +81,6 @@ enum class Counter : int {
   kServeJobsCompleted,   // jobs that reached a terminal state
   kCommBytesSent,        // payload bytes through Comm::send (comm plane)
   kCommBytesRecv,        // payload bytes through Comm::recv
-  kCommRingStalls,       // full-shm-ring stall episodes on the send path
-  kCommRingStallNs,      // ns spent stalled on full shm rings
   kKernelFallback,       // SIMD kernel member fell back to the scalar
                          // reference (layout unsupported, e.g. ncat_model >
                          // kMaxCatMatrices) — benches watch this to avoid

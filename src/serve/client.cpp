@@ -87,7 +87,7 @@ Frame Client::roundtrip(Op op, const mpi::Bytes& body) {
   if (!read_frame(fd_, reply))
     throw ServeError("connection closed by server");
   if (reply.op == Op::kErr) {
-    mpi::Unpacker u(reply.body);
+    mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
     throw ServeError(u.get_string());
   }
   return reply;
@@ -97,7 +97,7 @@ std::string Client::submit(const JobRequest& request) {
   mpi::Packer p;
   pack_request(p, request);
   const Frame reply = roundtrip(Op::kSubmit, p.take());
-  mpi::Unpacker u(reply.body);
+  mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
   return u.get_string();
 }
 
@@ -105,7 +105,7 @@ JobStatus Client::status(const std::string& id) {
   mpi::Packer p;
   p.put_string(id);
   const Frame reply = roundtrip(Op::kStatus, p.take());
-  mpi::Unpacker u(reply.body);
+  mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
   return unpack_status(u);
 }
 
@@ -113,7 +113,7 @@ JobResult Client::result(const std::string& id) {
   mpi::Packer p;
   p.put_string(id);
   const Frame reply = roundtrip(Op::kResult, p.take());
-  mpi::Unpacker u(reply.body);
+  mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
   return unpack_result(u);
 }
 
@@ -125,10 +125,9 @@ void Client::cancel(const std::string& id) {
 
 std::vector<JobStatus> Client::list() {
   const Frame reply = roundtrip(Op::kList, {});
-  mpi::Unpacker u(reply.body);
+  mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
   const auto n = u.get<std::uint32_t>();
-  std::vector<JobStatus> out;
-  out.reserve(n);
+  std::vector<JobStatus> out;  // no reserve(n): n is off the wire
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(unpack_status(u));
   return out;
 }
@@ -137,7 +136,7 @@ void Client::shutdown_server() { roundtrip(Op::kShutdown, {}); }
 
 std::string Client::metrics() {
   const Frame reply = roundtrip(Op::kMetrics, {});
-  mpi::Unpacker u(reply.body);
+  mpi::Unpacker u(reply.body, mpi::Unpacker::Source::kWire);
   return u.get_string();
 }
 
@@ -151,7 +150,7 @@ JobStatus Client::stream(
     Frame frame;
     if (!read_frame(fd_, frame))
       throw ServeError("connection closed mid-stream");
-    mpi::Unpacker u(frame.body);
+    mpi::Unpacker u(frame.body, mpi::Unpacker::Source::kWire);
     if (frame.op == Op::kErr) throw ServeError(u.get_string());
     const JobStatus s = unpack_status(u);
     if (frame.op == Op::kOk) return s;

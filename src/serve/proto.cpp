@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -62,9 +63,18 @@ bool read_frame(int fd, Frame& out) {
   if (read_all(fd, &op, 1) != 1)
     throw std::runtime_error("frame read: EOF before opcode");
   out.op = static_cast<Op>(op);
-  out.body.resize(len - 1);
-  if (read_all(fd, out.body.data(), out.body.size()) != out.body.size())
-    throw std::runtime_error("frame read: EOF inside body");
+  // Grow the body as its bytes arrive, so a length prefix alone cannot make
+  // the reader allocate more than about twice what the peer actually sent.
+  const std::size_t body_len = len - 1;
+  out.body.clear();
+  while (out.body.size() < body_len) {
+    const std::size_t have = out.body.size();
+    const std::size_t chunk =
+        std::min(body_len - have, std::max<std::size_t>(have, 64 << 10));
+    out.body.resize(have + chunk);
+    if (read_all(fd, out.body.data() + have, chunk) != chunk)
+      throw std::runtime_error("frame read: EOF inside body");
+  }
   return true;
 }
 

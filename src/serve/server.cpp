@@ -181,7 +181,7 @@ void Server::handle_connection(int fd) {
 void Server::handle_frame(int fd, const Frame& frame) {
   frames_.bump(frame.op);
   try {
-    mpi::Unpacker u(frame.body);
+    mpi::Unpacker u(frame.body, mpi::Unpacker::Source::kWire);
     switch (frame.op) {
       case Op::kSubmit: {
         const JobRequest request = unpack_request(u);

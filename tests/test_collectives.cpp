@@ -379,7 +379,7 @@ std::vector<std::vector<double>> stats_script(bool processes,
   opts.transport = transport;
   opts.collectives = algo;
   const auto fn = [&out](Comm& comm) {
-    comm.reset_stats();
+    const Comm::Stats before = comm.stats();
     comm.barrier();
     Bytes payload =
         comm.rank() == 0 ? Bytes(2048, std::uint8_t{7}) : Bytes{};
@@ -390,12 +390,15 @@ std::vector<std::vector<double>> stats_script(bool processes,
 
     const Comm::Stats s = comm.stats();  // snapshot before the report gather
     std::vector<double> flat;
-    for (const Comm::OpStats* op :
-         {&s.p2p, &s.barrier, &s.bcast, &s.reduce, &s.gather}) {
-      flat.push_back(static_cast<double>(op->msgs_sent));
-      flat.push_back(static_cast<double>(op->bytes_sent));
-      flat.push_back(static_cast<double>(op->msgs_recv));
-      flat.push_back(static_cast<double>(op->bytes_recv));
+    for (const auto op : {&Comm::Stats::p2p, &Comm::Stats::barrier,
+                          &Comm::Stats::bcast, &Comm::Stats::reduce,
+                          &Comm::Stats::gather}) {
+      const Comm::OpStats& a = s.*op;
+      const Comm::OpStats& b = before.*op;
+      flat.push_back(static_cast<double>(a.msgs_sent - b.msgs_sent));
+      flat.push_back(static_cast<double>(a.bytes_sent - b.bytes_sent));
+      flat.push_back(static_cast<double>(a.msgs_recv - b.msgs_recv));
+      flat.push_back(static_cast<double>(a.bytes_recv - b.bytes_recv));
     }
     const auto rows = comm.gather_doubles(flat, 0);
     if (comm.rank() == 0) out = rows;
@@ -474,14 +477,15 @@ TEST(StarVsTree, SameResultsDifferentRouting) {
     run_thread_ranks(
         kRanks,
         [&](Comm& comm) {
-          comm.reset_stats();
+          const Comm::OpStats before = comm.stats().barrier;
           comm.barrier();
           const double sum = comm.allreduce_sum(operand(comm.rank()));
           if (comm.rank() == 0) {
             sums[i] = bits(sum);
-            root_barrier_msgs[i] =
-                static_cast<double>(comm.stats().barrier.msgs_sent +
-                                    comm.stats().barrier.msgs_recv);
+            const Comm::OpStats after = comm.stats().barrier;
+            root_barrier_msgs[i] = static_cast<double>(
+                after.msgs_sent - before.msgs_sent + after.msgs_recv -
+                before.msgs_recv);
           }
         },
         opts);

@@ -11,9 +11,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "bio/patterns.h"
@@ -23,6 +25,7 @@
 #include "minimpi/fault.h"
 #include "obs/comm_obs.h"
 #include "obs/flight.h"
+#include "obs/hist.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 
@@ -354,6 +357,66 @@ TEST(CommObs, PostmortemEstimatesClockOffsetsOverShmTransport) {
     EXPECT_FALSE(pm::format_edge_report(merged).empty());
     flight::set_dump_dir("");
     std::filesystem::remove_all(dir);
+  }
+}
+
+// --- record once: one span, one latency sample, one flight bracket ---
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size()))
+    ++n;
+  return n;
+}
+
+TEST(CommObs, EachCollectiveRecordsOnceAtTheOutermostScope) {
+  // An allreduce is built on a gather and a broadcast, yet it is one call:
+  // it must leave exactly one span, one kCollectiveNs sample and one
+  // kCollBegin/kCollEnd pair per rank, and nothing named mpi.bcast.
+  const std::pair<const char*, std::function<void(mpi::Comm&)>> cases[] = {
+      {"mpi.allreduce", [](mpi::Comm& c) { (void)c.allreduce_sum(1.5); }},
+      {"mpi.barrier", [](mpi::Comm& c) { c.barrier(); }},
+      {"mpi.gather", [](mpi::Comm& c) { (void)c.gather_strings("x", 0); }},
+  };
+  constexpr int kRanks = 2;
+  for (const auto& [name, collective] : cases) {
+    CommObsScope scope;
+    obs::reset();
+    flight::reset();
+    const std::string dir = fresh_dir("raxh_commobs_once");
+    flight::set_dump_dir(dir);
+    mpi::run_thread_ranks(kRanks, [&](mpi::Comm& comm) { collective(comm); });
+
+    EXPECT_EQ(obs::hist_snapshot(obs::Hist::kCollectiveNs).count,
+              static_cast<std::uint64_t>(kRanks))
+        << name;
+    const std::string trace = obs::export_trace_fragment(0);
+    EXPECT_EQ(count_of(trace, std::string("\"name\":\"") + name + "\""),
+              static_cast<std::size_t>(kRanks))
+        << name;
+    EXPECT_EQ(count_of(trace, "\"name\":\"mpi.bcast\""), 0u) << name;
+
+    ASSERT_TRUE(flight::dump_now(0, "record once"));
+    const flight::Blackbox box =
+        flight::read_blackbox(flight::dump_path_for_rank(0));
+    int begins[kRanks] = {0, 0};
+    int ends[kRanks] = {0, 0};
+    for (const auto& ev : box.all_events()) {
+      const bool begin = ev.kind == flight::Kind::kCollBegin;
+      if (!begin && ev.kind != flight::Kind::kCollEnd) continue;
+      EXPECT_EQ(box.name(ev.a), name);
+      ASSERT_GE(ev.rank, 0);
+      ASSERT_LT(ev.rank, kRanks);
+      ++(begin ? begins : ends)[ev.rank];
+    }
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(begins[r], 1) << name << " rank " << r;
+      EXPECT_EQ(ends[r], 1) << name << " rank " << r;
+    }
+    flight::set_dump_dir("");
+    std::filesystem::remove_all(dir);
+    obs::reset();
   }
 }
 

@@ -309,7 +309,7 @@ TEST(KernelFamily, SetKernelIsaRejectsUnsupported) {
     EXPECT_FALSE(kern::set_kernel_isa(isa)) << kern::kernel_isa_name(isa);
     EXPECT_EQ(kern::kernel_isa(), before) << kern::kernel_isa_name(isa);
   }
-  // NEON and AVX2 cannot both be supported on one machine, so at least one
+  // NEON and AVX-512 cannot both be supported on one machine, so at least one
   // member is always rejectable.
   EXPECT_TRUE(found_unsupported);
 

@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minimpi/comm.h"
@@ -40,6 +43,71 @@ TEST(PackUnpack, EmptyContainers) {
   EXPECT_EQ(u.get_string(), "");
   EXPECT_TRUE(u.get_doubles().empty());
   EXPECT_TRUE(u.exhausted());
+}
+
+// Bytes off a socket are untrusted: every getter refuses a payload shorter
+// than it needs with std::runtime_error instead of aborting the process.
+TEST(PackUnpack, TruncatedWireInputThrowsForEveryGetter) {
+  const auto packed = [](const std::function<void(Packer&)>& put) {
+    Packer p;
+    put(p);
+    return p.take();
+  };
+  const std::pair<Bytes, std::function<void(Unpacker&)>> cases[] = {
+      {packed([](Packer& p) { p.put(std::uint64_t{7}); }),
+       [](Unpacker& u) { (void)u.get<std::uint64_t>(); }},
+      {packed([](Packer& p) { p.put_string("hello"); }),
+       [](Unpacker& u) { (void)u.get_string(); }},
+      {packed([](Packer& p) { p.put_doubles({1.0, 2.0}); }),
+       [](Unpacker& u) { (void)u.get_doubles(); }},
+      {packed([](Packer& p) { p.put_bytes(Bytes{1, 2, 3}); }),
+       [](Unpacker& u) { (void)u.get_bytes(); }},
+  };
+  for (const auto& [full, get] : cases) {
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      const Bytes truncated(full.begin(),
+                            full.begin() + static_cast<long>(cut));
+      Unpacker u(truncated, Unpacker::Source::kWire);
+      EXPECT_THROW(get(u), std::runtime_error)
+          << cut << " of " << full.size() << " bytes";
+    }
+  }
+}
+
+// A length prefix claiming more than the payload holds is refused before the
+// getter allocates for it — 2^33 bytes, and 2^61 doubles whose byte count
+// overflows 64 bits.
+TEST(PackUnpack, OverlongLengthPrefixThrowsBeforeAllocating) {
+  for (const std::uint64_t claim :
+       {std::uint64_t{4}, std::uint64_t{1} << 33, std::uint64_t{1} << 61,
+        ~std::uint64_t{0}}) {
+    Packer p;
+    p.put(claim);
+    p.put(std::uint8_t{'a'});
+    p.put(std::uint8_t{'b'});
+    p.put(std::uint8_t{'c'});
+    const Bytes body = p.take();
+    Unpacker s(body, Unpacker::Source::kWire);
+    EXPECT_THROW((void)s.get_string(), std::runtime_error) << claim;
+    Unpacker d(body, Unpacker::Source::kWire);
+    EXPECT_THROW((void)d.get_doubles(), std::runtime_error) << claim;
+    Unpacker b(body, Unpacker::Source::kWire);
+    EXPECT_THROW((void)b.get_bytes(), std::runtime_error) << claim;
+  }
+}
+
+// Between ranks the same overlong prefix is a protocol bug: the default
+// (mesh) source aborts as a contract failure, still without allocating.
+TEST(PackUnpack, OverlongMeshPayloadIsAContractFailure) {
+  Packer p;
+  p.put(std::uint64_t{1} << 33);
+  const Bytes body = p.take();
+  EXPECT_DEATH(
+      {
+        Unpacker u(body);
+        (void)u.get_string();
+      },
+      "precondition");
 }
 
 TEST(ThreadRanks, SizeAndRankAreConsistent) {
@@ -195,7 +263,7 @@ std::vector<std::vector<double>> comm_stats_script(bool processes,
                                                    int nranks) {
   std::vector<std::vector<double>> out;
   const auto fn = [&out](Comm& comm) {
-    comm.reset_stats();
+    const Comm::Stats before = comm.stats();
     comm.barrier();
     std::string payload = comm.rank() == 0 ? std::string(1000, 'p') : "";
     comm.bcast_string(payload, 0);
@@ -204,11 +272,14 @@ std::vector<std::vector<double>> comm_stats_script(bool processes,
 
     const Comm::Stats s = comm.stats();  // snapshot before the report gather
     std::vector<double> flat;
-    for (const Comm::OpStats* op : {&s.barrier, &s.bcast, &s.gather, &s.p2p}) {
-      flat.push_back(static_cast<double>(op->msgs_sent));
-      flat.push_back(static_cast<double>(op->bytes_sent));
-      flat.push_back(static_cast<double>(op->msgs_recv));
-      flat.push_back(static_cast<double>(op->bytes_recv));
+    for (const auto op : {&Comm::Stats::barrier, &Comm::Stats::bcast,
+                          &Comm::Stats::gather, &Comm::Stats::p2p}) {
+      const Comm::OpStats& a = s.*op;
+      const Comm::OpStats& b = before.*op;
+      flat.push_back(static_cast<double>(a.msgs_sent - b.msgs_sent));
+      flat.push_back(static_cast<double>(a.bytes_sent - b.bytes_sent));
+      flat.push_back(static_cast<double>(a.msgs_recv - b.msgs_recv));
+      flat.push_back(static_cast<double>(a.bytes_recv - b.bytes_recv));
     }
     const auto rows = comm.gather_doubles(flat, 0);
     if (comm.rank() == 0) out = rows;
@@ -576,62 +647,6 @@ TEST(ProtocolViolationDeath, PayloadSizeMismatchAbortsOnProcesses) {
                           }
                         }),
       "precondition");
-}
-
-// --- reset_stats: legal between collectives, fatal inside one ---
-
-// A decorator whose transport hook calls reset_stats() — i.e. a reset firing
-// while the enclosing collective's ScopedOp is still live. This reproduced a
-// real mis-attribution bug: the reset zeroed the OpStats the ScopedOp was
-// still pointing at, and the rest of the collective counted into freed-then-
-// rebuilt zeros. It is now a precondition violation.
-class ResetMidCollectiveComm final : public Comm {
- public:
-  explicit ResetMidCollectiveComm(Comm& inner) : inner_(&inner) {
-    set_collectives(inner.collectives());
-  }
-  [[nodiscard]] int rank() const override { return inner_->rank(); }
-  [[nodiscard]] int size() const override { return inner_->size(); }
-
- protected:
-  void do_send(int dest, int tag, const Bytes& payload) override {
-    reset_stats();  // inside the collective that issued this send
-    inner_->raw_send(dest, tag, payload);
-  }
-  Bytes do_recv(int src, int tag) override {
-    return inner_->raw_recv(src, tag);
-  }
-
- private:
-  Comm* inner_;
-};
-
-TEST(StatsReset, ResetDuringInFlightCollectiveDies) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(run_thread_ranks(2,
-                                [](Comm& inner) {
-                                  ResetMidCollectiveComm comm(inner);
-                                  comm.barrier();
-                                }),
-               "precondition");
-}
-
-TEST(StatsReset, ResetBetweenCollectivesZeroesAndKeepsAttributing) {
-  run_thread_ranks(2, [](Comm& comm) {
-    comm.barrier();
-    comm.allreduce_sum(1.0);
-    EXPECT_GT(comm.stats().total().msgs_sent, 0u);
-    comm.reset_stats();
-    const auto& zeroed = comm.stats();
-    EXPECT_EQ(zeroed.total().msgs_sent, 0u);
-    EXPECT_EQ(zeroed.total().bytes_recv, 0u);
-    EXPECT_EQ(zeroed.barrier_wait_ns, 0u);
-    // Attribution restarts cleanly: the next collective books under its own
-    // op, not into a stale pointer.
-    comm.barrier();
-    EXPECT_GT(comm.stats().barrier.msgs_sent, 0u);
-    EXPECT_EQ(comm.stats().reduce.msgs_sent, 0u);
-  });
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bio/io.h"
@@ -164,6 +165,46 @@ TEST(ServeDaemon, GarbageFrameGetsErrAndClose) {
   ::close(fd);
 
   // The daemon survived the bad client: a well-formed connection still works.
+  serve::Client client = serve::Client::connect_unix(daemon.socket_path);
+  EXPECT_TRUE(client.list().empty());
+}
+
+TEST(ServeDaemon, TruncatedBodiesGetErrAndTheDaemonKeepsServing) {
+  DaemonFixture daemon;
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, daemon.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // Well-framed requests whose bodies end early: a 3-byte STATUS body (not
+  // even a whole length prefix), a STATUS id claiming 2^33 bytes, and a
+  // SUBMIT cut off mid-alignment. Each gets ERR on the same connection.
+  mpi::Packer huge;
+  huge.put(std::uint64_t{1} << 33);
+  huge.put(std::uint8_t{'x'});
+  serve::JobRequest request;
+  request.alignment = "4 8\nt1 ACGTACGT\n";
+  mpi::Packer submit;
+  serve::pack_request(submit, request);
+  mpi::Bytes cut = submit.take();
+  cut.resize(cut.size() - 5);
+  const std::pair<serve::Op, mpi::Bytes> hostile[] = {
+      {serve::Op::kStatus, mpi::Bytes{1, 2, 3}},
+      {serve::Op::kStatus, huge.take()},
+      {serve::Op::kSubmit, cut},
+  };
+  for (const auto& [op, body] : hostile) {
+    serve::write_frame(fd, op, body);
+    serve::Frame reply;
+    ASSERT_TRUE(serve::read_frame(fd, reply));
+    EXPECT_EQ(reply.op, serve::Op::kErr);
+  }
+  ::close(fd);
+
   serve::Client client = serve::Client::connect_unix(daemon.socket_path);
   EXPECT_TRUE(client.list().empty());
 }
