@@ -8,8 +8,9 @@
 //   heartbeat  obs enabled + a HeartbeatWriter publishing live progress
 //   trace      obs enabled (counters, spans, latency histograms), no writer
 //   attrib     obs enabled + a JobObs sink bound (daemon per-job
-//              attribution: every counter/histogram/span mirrors into the
-//              job block, as raxhd charges it to the submitting tenant)
+//              attribution: every counter/histogram/span is recorded into
+//              the job's shared tally instead of the thread's own, as
+//              raxhd charges it to the submitting tenant)
 //
 // The CI-enforced budget is on the *always-on* modes: disabled obs
 // instrumentation and the enabled flight recorder must each cost < 2% of
@@ -120,8 +121,9 @@ double measure_gate_ns(bool bound_sink = false) {
          static_cast<double>(kCalls);
 }
 
-// ns the attribution mirror adds to one enabled obs::count: bound-sink
-// cost minus unbound cost (one extra relaxed fetch_add into the job block).
+// ns attribution adds to one enabled obs::count: bound-sink cost minus
+// unbound cost (a relaxed fetch_add into the job's shared tally instead of
+// an owner-only store into the thread's; clamped at 0).
 double measure_attribution_event_ns() {
   obs::set_enabled(true);
   constexpr std::uint64_t kCalls = 1 << 22;
@@ -264,7 +266,7 @@ int main() {
   f.time_round(false);  // warm-up: faults pages, settles the crew
 
   // A second fixture whose crew was constructed under a job binding: its
-  // workers inherited the sink, so the attrib mode mirrors from every
+  // workers inherited the sink, so the attrib mode records from every
   // thread, exactly as a daemon executor does.
   auto attrib_job = std::make_shared<obs::JobObs>();
   std::unique_ptr<Fixture> f_attrib;
@@ -365,9 +367,9 @@ int main() {
   std::printf("  %-22s %8.1f us/eval  (%+.1f%%, %+.1f%% vs trace)\n",
               "obs on + attribution", attrib * 1e6, attrib_overhead * 100.0,
               attrib_vs_trace * 100.0);
-  std::printf("\ndaemon attribution (per-job mirroring, not always-on):\n");
-  std::printf("  mirror cost          %10.2f ns/event "
-              "(one extra relaxed fetch_add)\n",
+  std::printf("\ndaemon attribution (per-job tallies, not always-on):\n");
+  std::printf("  attribution cost     %10.2f ns/event "
+              "(shared fetch_add vs owner store)\n",
               attribution_event_ns);
   std::printf("\ndisabled-cost bound (deterministic):\n");
   std::printf("  gate cost            %10.2f ns/site "

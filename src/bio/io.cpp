@@ -37,10 +37,11 @@ Alignment read_phylip(std::istream& in) {
   if (!(in >> taxa >> sites) || taxa == 0 || sites == 0)
     parse_error("PHYLIP header must be '<taxa> <sites>'");
 
+  // The header counts are untrusted (raxhd parses tenant SUBMIT bodies
+  // here): nothing is reserved from them, so storage grows only with the
+  // data actually read.
   std::vector<std::string> names;
   std::vector<std::vector<DnaState>> rows;
-  names.reserve(taxa);
-  rows.reserve(taxa);
   in.ignore();  // rest of the header line
 
   // Relaxed PHYLIP, sequential (wrapped) or interleaved, parsed per LINE:
@@ -92,7 +93,6 @@ Alignment read_phylip(std::istream& in) {
     if (is_name_line) {
       names.push_back(first);
       rows.emplace_back();
-      rows.back().reserve(sites);
       std::string token;
       while (tokens >> token) append_data(rows.size() - 1, token);
       continue;

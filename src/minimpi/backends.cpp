@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -545,6 +546,15 @@ void run_process_ranks(int nranks, const std::function<void(Comm&)>& fn,
           std::fprintf(stderr,
                        "[minimpi] rank %d: unrecovered peer failure: %s\n", r,
                        f.what());
+          exit_code = 1;
+        } catch (const std::exception& e) {
+          // Anything else must not unwind into the caller's program, which
+          // would run on in this child and exit 0 as if the rank succeeded.
+          std::fprintf(stderr, "[minimpi] rank %d: uncaught exception: %s\n",
+                       r, e.what());
+          exit_code = 1;
+        } catch (...) {
+          std::fprintf(stderr, "[minimpi] rank %d: uncaught exception\n", r);
           exit_code = 1;
         }
       }

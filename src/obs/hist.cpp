@@ -1,89 +1,12 @@
 #include "obs/hist.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <mutex>
-#include <new>
-#include <vector>
 
-#include "obs/metrics.h"
 #include "obs/obs.h"
 
 namespace raxh::obs {
-
-namespace {
-
-// One per thread, padded so no two threads' buckets share a cache line.
-// Only the owner thread writes; snapshot readers use relaxed loads, so a
-// snapshot taken mid-run is approximate to within in-flight samples.
-struct alignas(64) HistBlock {
-  std::atomic<std::uint64_t> buckets[kNumHists][kHistBuckets] = {};
-  std::atomic<std::uint64_t> count[kNumHists] = {};
-  std::atomic<std::uint64_t> sum_ns[kNumHists] = {};
-  std::atomic<std::uint64_t> max_ns[kNumHists] = {};
-};
-
-struct HistRegistry {
-  std::mutex mutex;
-  // shared_ptr so a crew thread's samples outlive the thread (crews are torn
-  // down per analysis, but their latencies belong to the run).
-  std::vector<std::shared_ptr<HistBlock>> blocks;
-};
-
-HistRegistry& registry() {
-  static HistRegistry* r = new HistRegistry;  // leaked: static-teardown safe
-  return *r;
-}
-
-thread_local std::shared_ptr<HistBlock> t_block;
-
-HistBlock& thread_block() {
-  if (!t_block) {
-    auto fresh = std::make_shared<HistBlock>();
-    HistRegistry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.blocks.push_back(fresh);
-    t_block = std::move(fresh);
-  }
-  return *t_block;
-}
-
-void clear_block(HistBlock& b) {
-  for (int h = 0; h < kNumHists; ++h) {
-    for (auto& bucket : b.buckets[h]) bucket.store(0, std::memory_order_relaxed);
-    b.count[h].store(0, std::memory_order_relaxed);
-    b.sum_ns[h].store(0, std::memory_order_relaxed);
-    b.max_ns[h].store(0, std::memory_order_relaxed);
-  }
-}
-
-// Owner-thread read-modify-write without a lock prefix (same idiom as the
-// counters in obs.cpp).
-void bump(std::atomic<std::uint64_t>& slot, std::uint64_t n) {
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-}
-
-}  // namespace
-
-namespace detail {
-
-void hist_add(Hist h, std::uint64_t ns) {
-  HistBlock& b = thread_block();
-  const int hi = static_cast<int>(h);
-  bump(b.buckets[hi][hist_bucket(ns)], 1);
-  bump(b.count[hi], 1);
-  bump(b.sum_ns[hi], ns);
-  if (ns > b.max_ns[hi].load(std::memory_order_relaxed))
-    b.max_ns[hi].store(ns, std::memory_order_relaxed);
-  // Mirror into the bound job's block (serving layer), as in obs add_count.
-  if (JobObs* job = t_job_sink) job->add_hist(h, ns);
-}
-
-}  // namespace detail
 
 void hist_record(Hist h, std::uint64_t ns) {
   if (!enabled()) return;
@@ -108,22 +31,6 @@ const char* hist_name(Hist h) {
       break;
   }
   return "unknown";
-}
-
-HistSnapshot hist_snapshot(Hist h) {
-  HistSnapshot snap;
-  const int hi = static_cast<int>(h);
-  HistRegistry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& b : reg.blocks) {
-    for (int i = 0; i < kHistBuckets; ++i)
-      snap.buckets[i] += b->buckets[hi][i].load(std::memory_order_relaxed);
-    snap.count += b->count[hi].load(std::memory_order_relaxed);
-    snap.sum_ns += b->sum_ns[hi].load(std::memory_order_relaxed);
-    const std::uint64_t m = b->max_ns[hi].load(std::memory_order_relaxed);
-    if (m > snap.max_ns) snap.max_ns = m;
-  }
-  return snap;
 }
 
 std::uint64_t HistSnapshot::quantile_ns(double q) const {
@@ -174,20 +81,6 @@ std::string hist_metrics_section() {
   }
   out += "}";
   return out;
-}
-
-void hist_reset() {
-  HistRegistry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  for (auto& b : reg.blocks) clear_block(*b);
-}
-
-void hist_reset_for_fork() {
-  HistRegistry& reg = registry();
-  // The forked child is single-threaded; a mutex inherited mid-flight would
-  // be undefined to lock, so re-initialize it in place before clearing.
-  new (&reg.mutex) std::mutex;
-  for (auto& b : reg.blocks) clear_block(*b);
 }
 
 }  // namespace raxh::obs

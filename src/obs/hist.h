@@ -2,11 +2,12 @@
 // synchronization hot spots: crew job durations, the master's barrier wait,
 // and minimpi collective latencies.
 //
-// Storage mirrors the counter design in obs.h: each thread owns a padded
-// block of relaxed-atomic bucket counts (owner-thread writes only — no
-// contention, no lock prefix), and snapshots merge the per-thread blocks.
-// A recorded duration costs one bit_width plus a handful of relaxed stores;
-// with observability disabled hist_record() is the usual single-branch no-op.
+// Samples are stored in obs's Tally (metrics.h): a sample goes to the bound
+// job's tally if the recording thread is bound to a job, and to the
+// thread's own tally otherwise. hist_snapshot() sums every tally. A recorded
+// duration costs one bit_width plus a handful of relaxed stores (relaxed
+// fetch_adds into a job's shared tally); with observability disabled
+// hist_record() is the usual single-branch no-op.
 //
 // Buckets are powers of two of nanoseconds: bucket 0 holds exactly 0 ns,
 // bucket b >= 1 holds [2^(b-1), 2^b - 1] ns, and bucket 64 tops out at
@@ -58,11 +59,13 @@ namespace detail {
 void hist_add(Hist h, std::uint64_t ns);
 }  // namespace detail
 
-// Record one duration sample into this thread's block. No-op when
+// Record one duration sample (see the storage note above). No-op when
 // observability is disabled (callers may also pre-check obs::enabled()).
 void hist_record(Hist h, std::uint64_t ns);
 
-// Merged-over-threads view of one histogram at a point in time.
+// One histogram at a point in time: hist_snapshot() sums every tally (each
+// thread's, each live job's, and the retired jobs' total); JobObs::hist()
+// reads one job's.
 struct HistSnapshot {
   std::uint64_t buckets[kHistBuckets] = {};
   std::uint64_t count = 0;   // total samples
@@ -82,11 +85,5 @@ struct HistSnapshot {
 // The `"latency":{...}` JSON section embedded in export_metrics_fragment():
 // per histogram count/mean/max plus p50/p95/p99 in nanoseconds.
 [[nodiscard]] std::string hist_metrics_section();
-
-// Clears all histograms (tests; obs::reset()).
-void hist_reset();
-// Fork-child reinitialization (called from obs's pthread_atfork child
-// handler; not for general use).
-void hist_reset_for_fork();
 
 }  // namespace raxh::obs

@@ -14,6 +14,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "util/log.h"
 
@@ -194,21 +195,6 @@ void live_reset_for_fork() { default_live_model().reset_for_fork(); }
 
 namespace {
 
-// Phase names are internal identifiers, but keep the line valid JSON for any
-// input: escape the two structural characters and flatten control bytes.
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      out += ' ';
-    } else {
-      out += ch;
-    }
-  }
-}
-
 // Locates `"key":` and parses the number after it; false if absent/NaN.
 bool find_number(const std::string& line, const char* key, double* out) {
   const std::string needle = std::string("\"") + key + "\":";
@@ -251,7 +237,7 @@ std::string format_heartbeat_line(const ProgressSnapshot& snap,
   std::snprintf(buf, sizeof(buf), "{\"ts_ns\":%llu,\"rank\":%d,\"phase\":\"",
                 static_cast<unsigned long long>(ts_ns), snap.rank);
   out += buf;
-  append_escaped(out, snap.phase);
+  append_json_escaped(out, snap.phase);
   std::snprintf(buf, sizeof(buf),
                 "\",\"units_done\":%d,\"units_total\":%d,\"fraction\":%.4f,"
                 "\"elapsed_s\":%.3f,\"best_lnl\":",

@@ -2,40 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <new>
 
 namespace raxh::obs {
 
 // ---------------------------------------------------------------------------
-// JobObs
+// Chrome trace writer
 // ---------------------------------------------------------------------------
 
-void JobObs::add_span(std::string name, std::uint64_t start_ns,
-                      std::uint64_t dur_ns, int lane) {
-  std::lock_guard<std::mutex> lock(span_mu_);
-  JobSpan span{std::move(name), start_ns, dur_ns, lane};
-  if (spans_.size() < kJobSpanCapacity) {
-    spans_.push_back(std::move(span));
-    return;
-  }
-  span_full_ = true;
-  spans_[span_next_] = std::move(span);
-  span_next_ = (span_next_ + 1) % kJobSpanCapacity;
-  dropped_spans_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void JobObs::set_lane_name(int lane, std::string name) {
-  std::lock_guard<std::mutex> lock(span_mu_);
-  for (auto& [l, n] : lane_names_)
-    if (l == lane) {
-      n = std::move(name);
-      return;
-    }
-  lane_names_.emplace_back(lane, std::move(name));
-}
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char ch : s) {
     switch (ch) {
       case '"':
@@ -62,59 +37,143 @@ void append_json_escaped(std::string& out, const std::string& s) {
   }
 }
 
-void append_span_event(std::string& out, const std::string& name,
-                       std::uint64_t start_ns, std::uint64_t dur_ns, int pid,
-                       int tid, bool& first) {
-  if (!first) out += ",\n";
-  first = false;
+ChromeTrace::ChromeTrace(int pid, std::string_view process_name) : pid_(pid) {
+  name_record("process_name", -1, process_name);
+}
+
+void ChromeTrace::name_lane(int lane, std::string_view name) {
+  name_record("thread_name", lane, name);
+}
+
+void ChromeTrace::name_record(const char* kind, int lane,
+                              std::string_view name) {
+  if (!out_.empty()) out_ += ",\n";
   char buf[128];
-  out += "{\"name\":\"";
-  append_json_escaped(out, name);
+  if (lane < 0)
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,"
+                  "\"args\":{\"name\":\"",
+                  kind, pid_);
+  else
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
+                  "\"args\":{\"name\":\"",
+                  kind, pid_, lane);
+  out_ += buf;
+  append_json_escaped(out_, name);
+  out_ += "\"}}";
+}
+
+void ChromeTrace::span(const SpanEvent& e) {
+  if (!out_.empty()) out_ += ",\n";
+  out_ += "{\"name\":\"";
+  append_json_escaped(out_, e.name);
+  char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
                 "\"dur\":%.3f}",
-                pid, tid, static_cast<double>(start_ns) / 1000.0,
-                static_cast<double>(dur_ns) / 1000.0);
-  out += buf;
+                pid_, e.lane, static_cast<double>(e.start_ns) / 1000.0,
+                static_cast<double>(e.dur_ns) / 1000.0);
+  out_ += buf;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// SpanRing
+// ---------------------------------------------------------------------------
+
+bool SpanRing::push(SpanEvent event) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (events_.size() < capacity_) {
+    events_.push_back(std::move(event));
+    return false;
+  }
+  events_[next_] = std::move(event);
+  next_ = (next_ + 1) % capacity_;
+  return true;
+}
+
+void SpanRing::name_lane(int lane, std::string name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [l, n] : lane_names_)
+    if (l == lane) {
+      n = std::move(name);
+      return;
+    }
+  lane_names_.emplace_back(lane, std::move(name));
+}
+
+void SpanRing::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.clear();
+  next_ = 0;
+  lane_names_.clear();
+}
+
+bool SpanRing::append_to(ChromeTrace& trace) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [lane, name] : lane_names_) trace.name_lane(lane, name);
+  // Chronological order: [next_, end) then [0, next_) once wrapped.
+  const std::size_t n = events_.size();
+  for (std::size_t i = 0; i < n; ++i) trace.span(events_[(next_ + i) % n]);
+  return n > 0;
+}
+
+void SpanRing::reset_for_fork() { new (&mu_) std::mutex; }
+
+// ---------------------------------------------------------------------------
+// Tally
+// ---------------------------------------------------------------------------
+
+void Tally::sum_counters(CounterSnapshot& into) const {
+  for (int i = 0; i < kNumCounters; ++i)
+    into.values[i] += counters_[i].load(std::memory_order_relaxed);
+}
+
+void Tally::sum_hist(Hist h, HistSnapshot& into) const {
+  const int hi = static_cast<int>(h);
+  for (int b = 0; b < kHistBuckets; ++b)
+    into.buckets[b] += buckets_[hi][b].load(std::memory_order_relaxed);
+  into.count += count_[hi].load(std::memory_order_relaxed);
+  into.sum_ns += sum_ns_[hi].load(std::memory_order_relaxed);
+  into.max_ns =
+      std::max(into.max_ns, max_ns_[hi].load(std::memory_order_relaxed));
+}
+
+void Tally::absorb(const Tally& other) {
+  for (int i = 0; i < kNumCounters; ++i)
+    bump(counters_[i], other.counters_[i].load(std::memory_order_relaxed));
+  for (int h = 0; h < kNumHists; ++h) {
+    for (int b = 0; b < kHistBuckets; ++b)
+      bump(buckets_[h][b],
+           other.buckets_[h][b].load(std::memory_order_relaxed));
+    bump(count_[h], other.count_[h].load(std::memory_order_relaxed));
+    bump(sum_ns_[h], other.sum_ns_[h].load(std::memory_order_relaxed));
+    raise_max(max_ns_[h], other.max_ns_[h].load(std::memory_order_relaxed));
+  }
+}
+
+void Tally::clear() {
+  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
+  for (int h = 0; h < kNumHists; ++h) {
+    for (auto& b : buckets_[h]) b.store(0, std::memory_order_relaxed);
+    count_[h].store(0, std::memory_order_relaxed);
+    sum_ns_[h].store(0, std::memory_order_relaxed);
+    max_ns_[h].store(0, std::memory_order_relaxed);
+  }
+  spans.clear();
+}
+
+// ---------------------------------------------------------------------------
+// JobObs
+// ---------------------------------------------------------------------------
 
 std::string JobObs::export_trace_fragment(
     int pid, const std::string& process_name,
-    const std::vector<ExtraSpan>& extra) const {
-  std::string out;
-  bool first = true;
-  {
-    char buf[64];
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d", pid);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    append_json_escaped(out, process_name);
-    out += "\"}}";
-    first = false;
-  }
-  std::lock_guard<std::mutex> lock(span_mu_);
-  for (const auto& [lane, lname] : lane_names_) {
-    char buf[64];
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d,\"tid\":%d", pid, lane);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    append_json_escaped(out, lname);
-    out += "\"}}";
-  }
-  for (const auto& e : extra)
-    append_span_event(out, e.name, e.start_ns, e.dur_ns, pid, e.lane, first);
-  // Chronological emission once the ring wrapped.
-  const std::size_t n = spans_.size();
-  const std::size_t begin = span_full_ ? span_next_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const JobSpan& s = spans_[(begin + i) % n];
-    append_span_event(out, s.name, s.start_ns, s.dur_ns, pid, s.lane, first);
-  }
-  return out;
+    const std::vector<SpanEvent>& extra) const {
+  ChromeTrace trace(pid, process_name);
+  for (const SpanEvent& e : extra) trace.span(e);
+  tally_.spans.append_to(trace);
+  return trace.take();
 }
 
 // ---------------------------------------------------------------------------

@@ -20,38 +20,39 @@ namespace detail {
 std::atomic<bool> g_enabled{false};
 
 namespace {
-std::atomic<int> g_rank{-1};
-}  // namespace
 
-// One per thread, padded so no two threads' counters share a cache line.
-// Owner-thread writes are relaxed atomic stores (no lock prefix); snapshot
-// reads from other threads are relaxed loads — race-free under TSan.
+std::atomic<int> g_rank{-1};
+
+// One per thread, padded so no two threads' tallies share a cache line.
+// Only the owner thread writes its counters and histograms; snapshot reads
+// from other threads are relaxed loads — race-free under TSan.
 struct alignas(64) ThreadState {
   int tid = 0;
-  std::atomic<std::uint64_t> counters[kNumCounters] = {};
-
-  struct SpanEvent {
-    std::string name;
-    std::uint64_t start_ns = 0;
-    std::uint64_t dur_ns = 0;
-  };
-  std::mutex trace_mutex;           // uncontended: owner writes, exporter reads
-  std::vector<SpanEvent> ring;      // bounded at kTraceCapacity
-  std::size_t ring_next = 0;        // insertion cursor once full
-  bool ring_full = false;
+  Tally tally{/*shared=*/false, kTraceCapacity};
 };
-
-namespace {
 
 struct Registry {
   std::mutex mutex;
-  // shared_ptr so a thread's spans and counters outlive the thread (crew
-  // workers are torn down per analysis, but their data belongs to the run).
-  std::vector<std::shared_ptr<ThreadState>> states;
+  // shared_ptr so a thread's tally outlives the thread (crew workers are
+  // torn down per analysis, but their events belong to the run).
+  std::vector<std::shared_ptr<ThreadState>> threads;
+  std::vector<Tally*> jobs;  // live JobObs tallies
+  // Counters and histograms of destroyed jobs (never holds spans).
+  Tally retired{/*shared=*/false, 0};
   // Process-wide track for phase markers, exported as tid kPhaseTrackTid.
-  // Kept out of `states` so phase spans never compete with per-thread rings.
-  std::shared_ptr<ThreadState> phase_track;
+  // Kept out of the thread rings so phase spans never compete for slots
+  // with high-frequency spans (a busy crew evicts tens of thousands of job
+  // spans per stage).
+  SpanRing phase_track{kTraceCapacity};
   int next_tid = 0;
+
+  // Every tally the process-wide views sum. Caller holds `mutex`.
+  template <typename Fn>
+  void for_each_tally(Fn fn) {
+    for (const auto& state : threads) fn(state->tally);
+    for (Tally* job : jobs) fn(*job);
+    fn(retired);
+  }
 };
 
 Registry& registry() {
@@ -59,33 +60,23 @@ Registry& registry() {
   return *r;
 }
 
-void clear_state(ThreadState& state) {
-  for (auto& c : state.counters) c.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(state.trace_mutex);
-  state.ring.clear();
-  state.ring_next = 0;
-  state.ring_full = false;
-}
-
 void clear_all_locked(Registry& reg) {
-  for (auto& state : reg.states) clear_state(*state);
-  if (reg.phase_track) clear_state(*reg.phase_track);
+  reg.for_each_tally([](Tally& t) { t.clear(); });
+  reg.phase_track.clear();
 }
 
 // Forked children must not re-export the parent's pre-fork history: minimpi's
 // ProcessComm forks rank 1.. from rank 0 after setup, and a child that kept
-// the inherited spans would duplicate them in the merged timeline.
+// the inherited events would duplicate them in the merged exports.
 void atfork_child() {
   Registry& reg = registry();
   // Fresh mutexes: the forked child owns single-threaded copies, but a mutex
   // state inherited mid-flight would be undefined to lock.
   new (&reg.mutex) std::mutex;
-  for (auto& state : reg.states)
-    new (&state->trace_mutex) std::mutex;
-  if (reg.phase_track) new (&reg.phase_track->trace_mutex) std::mutex;
+  reg.for_each_tally([](Tally& t) { t.spans.reset_for_fork(); });
+  reg.phase_track.reset_for_fork();
   clear_all_locked(reg);
   run_phases_reset_for_fork();
-  hist_reset_for_fork();
   live_reset_for_fork();
   comm::reset_for_fork();
 }
@@ -94,8 +85,7 @@ std::once_flag g_atfork_once;
 
 thread_local std::shared_ptr<ThreadState> t_state;
 
-}  // namespace
-
+// This thread's state (registered globally on first use).
 ThreadState& thread_state() {
   if (!t_state) {
     std::call_once(g_atfork_once,
@@ -104,20 +94,35 @@ ThreadState& thread_state() {
     Registry& reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
     fresh->tid = reg.next_tid++;
-    reg.states.push_back(fresh);
+    reg.threads.push_back(fresh);
     t_state = std::move(fresh);
   }
   return *t_state;
 }
 
-void add_count(Counter c, std::uint64_t n) {
-  auto& slot = thread_state().counters[static_cast<int>(c)];
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-  // Job attribution: a thread bound to a JobObs (serving layer) mirrors the
-  // increment into the job's block, so per-job deltas sum to the global
-  // delta. Unbound threads (every one-shot run) pay one TLS load + branch.
-  if (JobObs* job = t_job_sink) job->add_count(c, n);
+// The one tally this thread's events go to: its bound job's, else its own.
+Tally& sink() {
+  if (JobObs* job = t_job_sink) return job->tally();
+  return thread_state().tally;
+}
+
+}  // namespace
+
+void add_count(Counter c, std::uint64_t n) { sink().add_count(c, n); }
+
+void hist_add(Hist h, std::uint64_t ns) { sink().add_hist(h, ns); }
+
+void register_job_tally(Tally& tally) {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  reg.jobs.push_back(&tally);
+}
+
+void retire_job_tally(Tally& tally) {
+  Registry& reg = registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  reg.retired.absorb(tally);
+  std::erase(reg.jobs, &tally);
 }
 
 }  // namespace detail
@@ -146,7 +151,6 @@ void reset() {
   std::lock_guard<std::mutex> lock(reg.mutex);
   detail::clear_all_locked(reg);
   run_phases().clear();
-  hist_reset();
   live_reset();
   set_rank(-1);
 }
@@ -215,158 +219,58 @@ CounterSnapshot counters_snapshot() {
   CounterSnapshot snap;
   auto& reg = detail::registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& state : reg.states)
-    for (int i = 0; i < kNumCounters; ++i)
-      snap.values[i] += state->counters[i].load(std::memory_order_relaxed);
+  reg.for_each_tally([&](const Tally& t) { t.sum_counters(snap); });
   return snap;
 }
 
-namespace {
-
-void push_span(detail::ThreadState& state, std::string name,
-               std::uint64_t start_ns, std::uint64_t dur_ns) {
-  std::lock_guard<std::mutex> lock(state.trace_mutex);
-  detail::ThreadState::SpanEvent event{std::move(name), start_ns, dur_ns};
-  if (state.ring.size() < kTraceCapacity) {
-    state.ring.push_back(std::move(event));
-    return;
-  }
-  state.ring_full = true;
-  state.ring[state.ring_next] = std::move(event);
-  state.ring_next = (state.ring_next + 1) % kTraceCapacity;
-  detail::add_count(Counter::kSpansDropped, 1);
+HistSnapshot hist_snapshot(Hist h) {
+  HistSnapshot snap;
+  auto& reg = detail::registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  reg.for_each_tally([&](const Tally& t) { t.sum_hist(h, snap); });
+  return snap;
 }
-
-}  // namespace
 
 void record_span(std::string name, std::uint64_t start_ns,
                  std::uint64_t dur_ns) {
-  // A thread bound to a job routes its spans into the job's ring instead of
-  // the process-global one: the daemon's merged trace nests them under the
-  // owning job, and concurrent jobs stop interleaving in one timeline.
+  // A thread bound to a job records into the job's ring instead of its own:
+  // the daemon's merged trace nests the spans under the owning job, and
+  // concurrent jobs stop interleaving in one timeline.
   if (JobObs* job = detail::t_job_sink) {
     const int lane = detail::t_job_lane >= 0
                          ? detail::t_job_lane
                          : kJobUnlanedTidBase + detail::thread_state().tid;
-    job->add_span(std::move(name), start_ns, dur_ns, lane);
+    job->tally().add_span({std::move(name), start_ns, dur_ns, lane});
     return;
   }
-  push_span(detail::thread_state(), std::move(name), start_ns, dur_ns);
+  detail::ThreadState& state = detail::thread_state();
+  state.tally.add_span({std::move(name), start_ns, dur_ns, state.tid});
 }
 
 void record_phase_span(std::string name, std::uint64_t start_ns,
                        std::uint64_t dur_ns) {
   if (JobObs* job = detail::t_job_sink) {
     job->set_lane_name(kJobPhaseLane, "phases");
-    job->add_span(std::move(name), start_ns, dur_ns, kJobPhaseLane);
+    job->tally().add_span({std::move(name), start_ns, dur_ns, kJobPhaseLane});
     return;
   }
-  auto& reg = detail::registry();
-  std::shared_ptr<detail::ThreadState> track;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    if (!reg.phase_track) {
-      reg.phase_track = std::make_shared<detail::ThreadState>();
-      reg.phase_track->tid = kPhaseTrackTid;
-    }
-    track = reg.phase_track;
-  }
-  push_span(*track, std::move(name), start_ns, dur_ns);
+  SpanRing& track = detail::registry().phase_track;
+  track.name_lane(kPhaseTrackTid, "phases");
+  if (track.push({std::move(name), start_ns, dur_ns, kPhaseTrackTid}))
+    detail::add_count(Counter::kSpansDropped, 1);
 }
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-void append_event(std::string& out, const detail::ThreadState::SpanEvent& e,
-                  int pid, int tid, bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[128];
-  out += "{\"name\":\"";
-  append_json_escaped(out, e.name);
-  std::snprintf(buf, sizeof(buf),
-                "\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                "\"dur\":%.3f}",
-                pid, tid, static_cast<double>(e.start_ns) / 1000.0,
-                static_cast<double>(e.dur_ns) / 1000.0);
-  out += buf;
-}
-
-}  // namespace
 
 std::string export_trace_fragment(int my_rank) {
   const int pid = my_rank >= 0 ? my_rank : 0;
-  std::string out;
-  bool first = true;
-
-  // Process-name metadata so Perfetto labels each rank's track group.
-  {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"rank %d\"}}",
-                  pid, pid);
-    out += buf;
-    first = false;
-  }
-
+  // The process_name record lets Perfetto label each rank's track group.
+  ChromeTrace trace(pid, "rank " + std::to_string(pid));
   auto& reg = detail::registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   bool any_event = false;
-  const auto emit_ring = [&](detail::ThreadState& state) {
-    std::lock_guard<std::mutex> tlock(state.trace_mutex);
-    if (state.ring.empty()) return;
-    any_event = true;
-    // Chronological order: [ring_next, end) then [0, ring_next) once full.
-    const std::size_t n = state.ring.size();
-    const std::size_t begin = state.ring_full ? state.ring_next : 0;
-    for (std::size_t i = 0; i < n; ++i)
-      append_event(out, state.ring[(begin + i) % n], pid, state.tid, first);
-  };
-  for (const auto& state : reg.states) emit_ring(*state);
-  if (reg.phase_track) {
-    bool has_phases;
-    {
-      std::lock_guard<std::mutex> tlock(reg.phase_track->trace_mutex);
-      has_phases = !reg.phase_track->ring.empty();
-    }
-    if (has_phases) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                    "\"tid\":%d,\"args\":{\"name\":\"phases\"}}",
-                    pid, kPhaseTrackTid);
-      out += buf;
-      emit_ring(*reg.phase_track);
-    }
-  }
-  return any_event ? out : std::string();
+  for (const auto& state : reg.threads)
+    any_event |= state->tally.spans.append_to(trace);
+  any_event |= reg.phase_track.append_to(trace);
+  return any_event ? trace.take() : std::string();
 }
 
 std::string merge_trace_fragments(const std::vector<std::string>& fragments) {

@@ -4,10 +4,12 @@
 //
 // Cost model: every instrumentation point is an inline check of one relaxed
 // atomic bool; with observability disabled nothing else happens, so hot
-// kernels pay a single predictable branch. When enabled, counters land in
-// per-thread padded blocks (relaxed atomics, owner-thread writes only — no
-// contention, no lock prefix) and spans land in a per-thread ring buffer
-// (bounded memory; oldest spans are dropped and counted).
+// kernels pay a single predictable branch. When enabled, each counter
+// increment, histogram sample and span is written to exactly one Tally
+// (metrics.h): the calling thread's own, or its bound job's. A thread's
+// tally is cache-line padded and written only by its owner (relaxed
+// stores, no lock prefix); its spans go to a bounded ring (the oldest are
+// dropped and counted in kSpansDropped).
 //
 // Rank attribution: obs::set_rank() stamps this process's exported events.
 // Forked child ranks (minimpi's ProcessComm) start from a clean slate — a
@@ -50,7 +52,8 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-// Clears all counters, spans, and phase accumulations (tests; also run in
+// Clears every tally (counters, histograms, spans — live jobs' and the
+// retired total included) and the phase accumulations (tests; also run in
 // forked children via pthread_atfork). Live threads stay registered.
 void reset();
 
@@ -102,13 +105,11 @@ inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 [[nodiscard]] const char* counter_name(Counter c);
 
 namespace detail {
-struct ThreadState;
-// This thread's state block (registered globally on first use).
-ThreadState& thread_state();
 void add_count(Counter c, std::uint64_t n);
 }  // namespace detail
 
-// Add `n` to this thread's slot of counter `c`. No-op when disabled.
+// Add `n` to counter `c` (this thread's tally, or its bound job's). No-op
+// when disabled.
 inline void count(Counter c, std::uint64_t n = 1) {
   if (!enabled()) return;
   detail::add_count(c, n);
@@ -122,7 +123,8 @@ inline void count(Counter c, std::uint64_t n = 1) {
 void add_synthetic_delay_ns(std::uint64_t ns);
 [[nodiscard]] std::uint64_t synthetic_delay_ns_this_thread();
 
-// Summed-over-threads counter values at a point in time.
+// Counter values at a point in time: counters_snapshot() sums every thread's
+// tally, every live job's, and the retired jobs' total.
 struct CounterSnapshot {
   std::uint64_t values[kNumCounters] = {};
   [[nodiscard]] std::uint64_t operator[](Counter c) const {
@@ -136,7 +138,8 @@ struct CounterSnapshot {
 // ---------------------------------------------------------------------------
 
 // Per-thread ring capacity in events; the oldest events are evicted (and
-// kSpansDropped incremented) once a thread exceeds it.
+// kSpansDropped incremented) once a thread exceeds it. A bound thread
+// records into its job's ring instead (kJobSpanCapacity, metrics.h).
 inline constexpr std::size_t kTraceCapacity = 1 << 15;
 
 // Record a completed span directly (non-RAII callers, e.g. merge tooling).

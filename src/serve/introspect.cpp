@@ -115,6 +115,9 @@ std::string render_metrics(ServiceCore& service, const FrameCounters* frames) {
     w.counter_labeled("raxhd_events_total",
                       "Process-global observability events, by counter.",
                       "counter", series);
+    w.counter("raxhd_trace_spans_dropped_total",
+              "Trace spans lost to ring overflow (thread and job rings).",
+              snap[obs::Counter::kSpansDropped]);
   }
 
   // Per-tenant attribution: sums over the JobObs blocks of each tenant's
@@ -122,15 +125,11 @@ std::string render_metrics(ServiceCore& service, const FrameCounters* frames) {
   {
     std::map<std::string, std::uint64_t> tenant_jobs;
     std::map<std::string, std::uint64_t> tenant_events;
-    std::uint64_t dropped = 0;
     for (const JobStatus& s : service.list()) {
       tenant_jobs[s.tenant] += 1;
       if (const auto job = service.job_obs(s.id)) {
         const obs::CounterSnapshot snap = job->counters();
-        std::uint64_t total = 0;
-        for (int i = 0; i < obs::kNumCounters; ++i) total += snap.values[i];
-        tenant_events[s.tenant] += total;
-        dropped += job->dropped_spans();
+        for (const std::uint64_t v : snap.values) tenant_events[s.tenant] += v;
       }
     }
     std::vector<std::pair<std::string, std::uint64_t>> jobs_series(
@@ -142,8 +141,6 @@ std::string render_metrics(ServiceCore& service, const FrameCounters* frames) {
     w.counter_labeled("raxhd_tenant_events_total",
                       "Attributed observability events, by tenant.", "tenant",
                       events_series);
-    w.counter("raxhd_trace_spans_dropped_total",
-              "Per-job trace spans lost to ring overflow.", dropped);
   }
 
   // Comm plane: per-edge traffic matrices, shm-ring backpressure, and
@@ -221,8 +218,8 @@ std::string render_metrics(ServiceCore& service, const FrameCounters* frames) {
                          ratios);
   }
 
-  // Per-job comm attribution: bytes moved on behalf of each job (mirrored
-  // obs counters) and whether any of its senders is stalled right now —
+  // Per-job comm attribution: bytes moved on behalf of each job (the job
+  // tally's counters) and whether any of its senders is stalled right now —
   // raxh_top's COMM column reads these.
   {
     std::vector<std::pair<std::string, std::uint64_t>> job_bytes;
@@ -247,8 +244,8 @@ std::string render_metrics(ServiceCore& service, const FrameCounters* frames) {
                          job_stalled);
   }
 
-  // Serving-stack latencies (process-global; per-job copies live in the
-  // JobObs blocks). Seconds, log2-bucketed.
+  // Serving-stack latencies (process-global: the sum over threads, live
+  // jobs and retired jobs). Seconds, log2-bucketed.
   w.histogram_ns("raxhd_admission_seconds",
                  "SUBMIT accepted to alignment admitted.",
                  obs::hist_snapshot(obs::Hist::kAdmissionNs));
@@ -299,12 +296,12 @@ MetricsHttpListener::~MetricsHttpListener() { stop(); }
 
 void MetricsHttpListener::stop() {
   if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes loop()'s accept(); the fd is closed only once the
+  // thread is joined, so its number never changes (or is reused) under it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (thread_.joinable()) thread_.join();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void MetricsHttpListener::loop() {

@@ -449,7 +449,7 @@ std::string ServiceCore::export_job_trace() const {
     const bool started = j->started_at.time_since_epoch().count() != 0;
     const bool finished = j->finished_at.time_since_epoch().count() != 0;
     const std::uint64_t end = finished ? ns_of(j->finished_at) : now;
-    std::vector<obs::JobObs::ExtraSpan> extra;
+    std::vector<obs::SpanEvent> extra;
     {
       const std::uint64_t t0 = ns_of(j->submitted_at);
       const std::uint64_t t1 = admitted ? ns_of(j->admitted_at) : end;

@@ -195,7 +195,7 @@ TEST_F(HistTest, ThreadCommCollectivesFeedLatencyHistogram) {
 
 TEST_F(HistTest, ResetClearsEverything) {
   obs::hist_record(Hist::kCrewJobNs, 999);
-  obs::hist_reset();
+  obs::reset();
   EXPECT_EQ(obs::hist_snapshot(Hist::kCrewJobNs).count, 0u);
 }
 

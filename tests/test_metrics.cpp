@@ -213,7 +213,7 @@ TEST_F(MetricsTest, PhaseSpansLandOnThePhaseLane) {
 TEST_F(MetricsTest, ExtraSpansAndLaneNamesExport) {
   auto job = std::make_shared<JobObs>();
   job->set_lane_name(obs::kJobLifecycleLane, "lifecycle");
-  std::vector<JobObs::ExtraSpan> extra;
+  std::vector<obs::SpanEvent> extra;
   extra.push_back({"queued", 100, 50, obs::kJobLifecycleLane});
   const std::string frag =
       job->export_trace_fragment(1, "job j1 tenant=alice", extra);
@@ -229,12 +229,26 @@ TEST_F(MetricsTest, SpanRingBoundsMemoryAndCountsDrops) {
   const std::size_t total = obs::kJobSpanCapacity + 100;
   for (std::size_t i = 0; i < total; ++i)
     obs::record_span("s" + std::to_string(i), i, 1);
-  EXPECT_EQ(job->dropped_spans(), 100u);
+  EXPECT_EQ(job->counters()[Counter::kSpansDropped], 100u);
   // The oldest spans were overwritten; the newest survive.
   const std::string frag = job->export_trace_fragment(0, "job", {});
   EXPECT_EQ(frag.find("\"s0\""), std::string::npos);
   EXPECT_NE(frag.find("\"s" + std::to_string(total - 1) + "\""),
             std::string::npos);
+}
+
+TEST_F(MetricsTest, JobRingDropsRaiseTheProcessWideSpansDropped) {
+  const std::uint64_t before =
+      obs::counters_snapshot()[Counter::kSpansDropped];
+  {
+    auto job = std::make_shared<JobObs>();
+    JobScope scope(job, 0);
+    for (std::size_t i = 0; i < obs::kJobSpanCapacity + 37; ++i)
+      obs::record_span("s", i, 1);
+    EXPECT_EQ(obs::counters_snapshot()[Counter::kSpansDropped] - before, 37u);
+  }
+  // The job is gone; its drops stay in the process-wide count.
+  EXPECT_EQ(obs::counters_snapshot()[Counter::kSpansDropped] - before, 37u);
 }
 
 TEST_F(MetricsTest, UnboundSpansStayOutOfJobRings) {

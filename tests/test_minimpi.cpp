@@ -617,6 +617,18 @@ TEST(ProtocolViolationDeath, TagMismatchAbortsOnProcesses) {
       "invariant");
 }
 
+// A child rank's exception must end that rank, not unwind into the caller's
+// program in the forked child: the parent then reports the abnormal exit.
+TEST(ProcessRanksDeath, ChildRankExceptionFailsTheRun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(run_process_ranks(2,
+                                 [](Comm& comm) {
+                                   if (comm.rank() == 1)
+                                     throw std::runtime_error("boom");
+                                 }),
+               "rank 1: uncaught exception: boom.*child rank exited abnormally");
+}
+
 TEST(ProtocolViolationDeath, PayloadSizeMismatchAbortsOnThreads) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

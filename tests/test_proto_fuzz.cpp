@@ -1,15 +1,19 @@
-// Seeded mutation fuzz of the raxhd wire decoders (serve/proto.*), in the
-// style of the checkpoint and black-box fuzz matrices. Valid SUBMIT,
-// STATUS-reply and RESULT-reply bodies are truncated, bit-flipped and given
-// hostile length prefixes, then fed to unpack_request / unpack_status /
-// unpack_result, and (framed) to read_frame over a socketpair.
+// Seeded mutation fuzz of the raxhd wire decoders (serve/proto.*) and of the
+// PHYLIP parser admission runs on tenant alignments (bio/io.*), in the style
+// of the checkpoint and black-box fuzz matrices. Valid SUBMIT, STATUS-reply
+// and RESULT-reply bodies are truncated, bit-flipped and given hostile
+// length prefixes, then fed to unpack_request / unpack_status /
+// unpack_result, and (framed) to read_frame over a socketpair. Valid PHYLIP
+// texts are truncated, bit-flipped and given hostile header counts, then fed
+// to read_phylip.
 //
 // Property: only std::exception escapes, and no single allocation made while
-// decoding exceeds the input's size plus a small constant — a length prefix
-// must be checked against the bytes that are actually there, never
-// allocated on trust. This binary replaces the global operator new to
-// observe the largest request; built with -fsanitize=address,undefined it
-// also checks the decoders memory-safe on every mutated input.
+// decoding exceeds the input's size times a small constant — a length
+// prefix or a header count must be checked against the bytes that are
+// actually there, never allocated on trust. This binary replaces the global
+// operator new to observe the largest request; built with
+// -fsanitize=address,undefined it also checks the decoders memory-safe on
+// every mutated input.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -22,9 +26,11 @@
 #include <cstring>
 #include <exception>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bio/io.h"
 #include "minimpi/comm.h"
 #include "serve/proto.h"
 #include "util/prng.h"
@@ -216,6 +222,73 @@ TEST(ProtoFuzz, ReadFrameContainsEveryMutation) {
           << "-byte allocation";
     }
   }
+}
+
+// --- PHYLIP ----------------------------------------------------------------
+
+// Header counts a hostile SUBMIT might declare over a tiny body: large but
+// parseable, at and past 32 bits, the u64 maximum, and an overflow.
+constexpr const char* kHostileCounts[] = {
+    "0", "1", "100000000", "4294967296", "18446744073709551615",
+    "99999999999999999999999"};
+
+// The PHYLIP mutation matrix: every truncation, every rewrite of one or
+// both header counts, and seeded 1-4 bit flips.
+std::vector<std::string> phylip_mutations(const std::string& valid,
+                                          std::uint64_t seed) {
+  std::vector<std::string> out;
+  for (std::size_t len = 0; len < valid.size(); ++len)
+    out.push_back(valid.substr(0, len));
+  const std::size_t header_end = valid.find('\n');
+  const std::size_t gap = valid.find(' ');
+  const std::string taxa = valid.substr(0, gap);
+  const std::string sites = valid.substr(gap + 1, header_end - gap - 1);
+  const std::string body = valid.substr(header_end);
+  for (const char* count : kHostileCounts) {
+    out.push_back(std::string(count) + " " + sites + body);
+    out.push_back(taxa + " " + count + body);
+    out.push_back(std::string(count) + " " + count + body);
+  }
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < 400; ++i) {
+    std::string m = valid;
+    const int flips = 1 + static_cast<int>(rng.next_below(4));
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t bit = rng.next_below(m.size() * 8);
+      m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1u << (bit % 8)));
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(PhylipFuzz, ParserContainsEveryMutation) {
+  // The parser's own containers grow with the data read (names, rows, one
+  // line at a time), so the bound is a constant multiple of the input.
+  constexpr std::size_t kPerInputByte = 64;
+  const std::string valid[] = {
+      // sequential
+      "4 8\nt1 ACGTACGT\nt2 ACGTACGA\nt3 ACGAACGT\nt4 TCGTACGT\n",
+      // interleaved, two blocks
+      "3 12\nt1 ACGTAC\nt2 ACGTAA\nt3 ACGAAC\n\nGTACGT\nGTACGA\nGTACGA\n",
+      // the ~25-byte claim of 10^8 x 10^8 sites
+      "100000000 100000000\nA A\n"};
+  std::uint64_t seed = 31;
+  for (const std::string& text : valid) {
+    for (const std::string& input : phylip_mutations(text, seed++)) {
+      const std::size_t largest = largest_allocation([&] {
+        std::istringstream in(input);
+        (void)read_phylip(in);
+      });
+      EXPECT_LE(largest, kPerInputByte * input.size() + kSlack)
+          << "a " << input.size() << "-byte PHYLIP text made a " << largest
+          << "-byte allocation:\n"
+          << input;
+    }
+  }
+  // The unmutated sequential text parses.
+  std::istringstream clean(valid[0]);
+  EXPECT_EQ(read_phylip(clean).num_taxa(), 4u);
 }
 
 }  // namespace
